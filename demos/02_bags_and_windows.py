@@ -2,13 +2,8 @@
 per-epoch change vectors whose cosine similarity decides when training stops.
 """
 
-from boscids import (
-    BehaviorDb,
-    bag_of,
-    cosine_similarity,
-    db_diff,
-    epoch_windows,
-)
+from boscids import BehaviorDb, bag_of, cosine_similarity, epoch_windows
+from boscids.bosc import Bags
 
 # a toy stream over 3 slots (say read=0, write=1, futex=2)
 epoch_a = [0, 1, 0, 1, 2, 0, 1, 0, 1, 2, 0, 1]
@@ -19,20 +14,22 @@ print(f"= windows of size {w} over epoch A (stride 1)")
 for i, window in enumerate(epoch_windows(epoch_a, w)):
     print(f"  window {i}: {list(window)} -> bag {list(bag_of(window, n_s))}")
 
+
+def epoch_bags(epoch):
+    return Bags.from_counts([bag_of(window, n_s) for window in epoch_windows(epoch, w)])
+
+
+# insert_many adds one epoch's bags and returns that epoch's change vector
 db = BehaviorDb()
-snap0 = db.snapshot()
-for window in epoch_windows(epoch_a, w):
-    db.insert(bag_of(window, n_s))
-change_1 = db_diff(snap0, db)
+bags_a = epoch_bags(epoch_a)
+change_1 = db.insert_many(bags_a, [1] * len(bags_a))
 print(f"\n= after epoch A: {len(db)} distinct bags")
 for bag, freq in db.items():
     print(f"  {list(bag)} x{freq}")
 print(f"  change vector C_1 = {change_1.deltas.tolist()}")
 
-snap1 = db.snapshot()
-for window in epoch_windows(epoch_b, w):
-    db.insert(bag_of(window, n_s))
-change_2 = db_diff(snap1, db)
+bags_b = epoch_bags(epoch_b)
+change_2 = db.insert_many(bags_b, [1] * len(bags_b))
 print(f"\n= after epoch B: {len(db)} distinct bags")
 print(f"  change vector C_2 = {change_2.deltas.tolist()}")
 print("  (C_2 is indexed by the db's insertion order after epoch B;")

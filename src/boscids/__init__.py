@@ -10,15 +10,11 @@ from .bosc import (
     BoSC,
     ChangeVector,
     Config,
-    DbSnapshot,
     FrozenDbError,
     bag_of,
-    db_diff,
-    epoch_bag_matrix,
     epoch_windows,
-    unique_bags,
 )
-from .catalog import OTHER_NAME, SyscallIndex, build_index, resolve
+from .catalog import OTHER_NAME, SyscallIndex, build_index
 from .detector import (
     DetectionReport,
     EpochVerdict,
@@ -68,18 +64,3 @@ from .trainer import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BehaviorDb", "BoSC", "ChangeVector", "Config", "DbSnapshot",
-    "FrozenDbError", "bag_of", "db_diff", "epoch_bag_matrix", "epoch_windows",
-    "unique_bags", "OTHER_NAME", "SyscallIndex", "build_index", "resolve",
-    "DetectionReport", "EpochVerdict", "detect", "format_report",
-    "read_report_file", "scan_epoch", "write_report_file", "LabeledCorpus",
-    "Metrics", "compute_metrics", "format_metrics", "read_labels",
-    "write_labels", "InjectionSpec", "SourceSpec", "gen_anomalous",
-    "gen_normal", "make_source", "trace_digest", "CountTable", "RawTrace",
-    "RawTraceLine", "count_table", "ingest", "ingest_file", "parse_line",
-    "read_count_file", "read_trace_file", "write_count_file",
-    "write_trace_file", "ModelFormatError", "SimilarityRecord",
-    "TrainedModel", "cosine_similarity", "load_model", "save_model", "train",
-]

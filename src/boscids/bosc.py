@@ -1,20 +1,26 @@
 """Sliding-window bags of system calls and the normal-behavior frequency db.
 
-A bag (BoSC) is the per-window count vector over the index's slots, stored
-as a plain tuple of ints so it can key a dict. The BehaviorDb maps bags to
-observed frequencies and remembers first-insertion order, which is what the
-per-epoch change vectors are indexed by.
+A bag (BoSC) is a window's per-slot count vector. Train, detect and the
+model loader all handle bags as bag keys: the window's slots complemented
+(n_s-1-s), sorted descending, written as big-endian uint32 and viewed as one
+np.void of 4*w bytes. Equal bags have equal keys, and ascending byte order of
+keys is ascending lexicographic order of the count vectors, so keys sort,
+unique and search without ever being decoded. Keys are exact for every
+n_s < 2**32 and every w. Count vectors appear only at the edges: the model
+file and the tuple-facing BehaviorDb methods.
 """
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 log = logging.getLogger(__name__)
 
 BoSC = tuple[int, ...]
+
+CHUNK = 4096  # bags converted between keys and count rows at a time
 
 
 @dataclass(frozen=True)
@@ -64,68 +70,57 @@ def bag_of(window: Sequence[int], n_s: int) -> BoSC:
     return tuple(counts)
 
 
-def epoch_bag_matrix(slots, w: int, n_s: int) -> np.ndarray:
-    """All window bags of one epoch as an (n_windows, n_s) count matrix.
-
-    Vectorized equivalent of bag_of over epoch_windows; the pure versions
-    stay as the reference the tests compare against.
-    """
-    arr = np.asarray(slots, dtype=np.int64)
-    n = arr.shape[0]
-    if n < w:
-        return np.zeros((0, n_s), dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() >= n_s):
-        raise ValueError(f"slot out of range for n_s={n_s}")
-    nwin = n - w + 1
-    win = np.lib.stride_tricks.sliding_window_view(arr, w)
-    flat = (win + np.arange(nwin, dtype=np.int64)[:, None] * n_s).ravel()
-    return np.bincount(flat, minlength=nwin * n_s).reshape(nwin, n_s)
-
-
-def unique_bags(bag_matrix: np.ndarray) -> tuple[list[BoSC], np.ndarray]:
-    """Collapse a bag matrix to its distinct rows plus multiplicities."""
-    if bag_matrix.shape[0] == 0:
-        return [], np.zeros(0, dtype=np.int64)
-    uniq, counts = np.unique(bag_matrix, axis=0, return_counts=True)
-    return [tuple(row) for row in uniq.tolist()], counts
-
-
-def unique_window_bags(slots, w: int, n_s: int) -> tuple[list[BoSC], np.ndarray]:
-    """Distinct window bags of one epoch plus multiplicities.
-
-    Same result as unique_bags(epoch_bag_matrix(...)), but when a sorted
-    window packs into one int64 the uniquing runs on scalar codes instead of
-    matrix rows, which is what makes multi-million-call traces cheap.
-    """
-    arr = np.asarray(slots, dtype=np.int64)
-    n = arr.shape[0]
-    if n < w:
-        return [], np.zeros(0, dtype=np.int64)
-    if arr.min() < 0 or arr.max() >= n_s:
-        raise ValueError(f"slot out of range for n_s={n_s}")
-    if n_s**w >= 2**62:  # codes would overflow; fall back to row uniquing
-        return unique_bags(epoch_bag_matrix(arr, w, n_s))
-    win = np.sort(np.lib.stride_tricks.sliding_window_view(arr, w), axis=1)
-    powers = np.array([n_s**i for i in range(w)], dtype=np.int64)
-    codes, counts = np.unique(win @ powers, return_counts=True)
-    digits = (codes[:, None] // powers) % n_s
-    m = digits.shape[0]
-    flat = (digits + np.arange(m, dtype=np.int64)[:, None] * n_s).ravel()
-    bags = np.bincount(flat, minlength=m * n_s).reshape(m, n_s)
-    order = np.lexsort(bags.T[::-1])  # match unique_bags' row ordering
-    return [tuple(row) for row in bags[order].tolist()], counts[order]
+def _keys_of_sorted(slots: np.ndarray, n_s: int) -> np.ndarray:
+    """Bag keys of (m, w) windows whose slots are sorted ascending per row."""
+    c = np.ascontiguousarray(n_s - 1 - slots, dtype=">u4")
+    return c.view(np.dtype((np.void, 4 * c.shape[1]))).ravel()
 
 
 @dataclass(frozen=True, eq=False)
-class DbSnapshot:
-    """Immutable picture of a BehaviorDb: keys in insertion order plus their
-    frequencies at snapshot time."""
+class Bags:
+    """Bag keys over an n_s-slot alphabet (see the module docstring)."""
 
-    keys: tuple[BoSC, ...]
-    freqs: np.ndarray
+    keys: np.ndarray
+    n_s: int
 
-    def __len__(self):
-        return len(self.keys)
+    def __len__(self) -> int:
+        return int(self.keys.shape[0])
+
+    @property
+    def w(self) -> int:
+        return self.keys.dtype.itemsize // 4
+
+    @classmethod
+    def from_counts(cls, rows) -> "Bags":
+        """Keys of an (m, n_s) count matrix whose rows all sum to one w >= 1."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] == 0:
+            raise ValueError("bags must be a non-empty sequence of equal-length count vectors")
+        sums = rows.sum(axis=1)
+        if rows.min() < 0 or sums[0] < 1 or (sums != sums[0]).any():
+            raise ValueError("bag counts must be non-negative and sum to the same window size")
+        m, n_s = rows.shape
+        slots = np.repeat(np.tile(np.arange(n_s), m), rows.ravel()).reshape(m, int(sums[0]))
+        return cls(_keys_of_sorted(slots, n_s), n_s)
+
+    def counts(self) -> np.ndarray:
+        """Decode to the (len, n_s) count matrix, one row per key."""
+        m, n_s = len(self), self.n_s
+        slots = n_s - 1 - self.keys.view(">u4").reshape(m, self.w).astype(np.int64)
+        flat = (slots + np.arange(m, dtype=np.int64)[:, None] * n_s).ravel()
+        return np.bincount(flat, minlength=m * n_s).reshape(m, n_s)
+
+
+def unique_window_bags(slots, w: int, n_s: int) -> tuple[Bags, np.ndarray]:
+    """Distinct window bags of one epoch, ascending, plus multiplicities."""
+    arr = np.asarray(slots, dtype=np.int64)
+    if arr.shape[0] < w:
+        return Bags(np.zeros(0, dtype=np.dtype((np.void, 4 * w))), n_s), np.zeros(0, dtype=np.int64)
+    if arr.min() < 0 or arr.max() >= n_s:
+        raise ValueError(f"slot out of range for n_s={n_s}")
+    win = np.sort(np.lib.stride_tricks.sliding_window_view(arr, w), axis=1)
+    keys, counts = np.unique(_keys_of_sorted(win, n_s), return_counts=True)
+    return Bags(keys, n_s), counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,25 +140,34 @@ class FrozenDbError(RuntimeError):
 
 
 class BehaviorDb:
-    """Map from bag to observed frequency; insertion order is first-insertion
-    order and is stable under later increments.
+    """Bag frequencies in first-insertion order, which is stable under later
+    increments.
 
-    Single-writer during training; freeze() makes it safe for any number of
-    concurrent readers.
+    Holds the bag keys in insertion order, their int64 frequencies, and a
+    sorted copy of the keys (with each one's insertion position) that every
+    lookup searches. n_s and w come from the first insert. Single-writer
+    during training; freeze() makes it safe for any number of concurrent
+    readers.
     """
 
     def __init__(self):
-        self._freq: dict[BoSC, int] = {}
+        self._n_s: int | None = None
+        self._w: int | None = None
+        self._keys = np.zeros(0, dtype=np.void)
+        self._freq = np.zeros(0, dtype=np.int64)
+        self._sorted = self._keys
+        self._sorted_pos = np.zeros(0, dtype=np.int64)
         self._frozen = False
 
     def __len__(self) -> int:
-        return len(self._freq)
+        return int(self._freq.shape[0])
 
     def __contains__(self, bag) -> bool:
-        return tuple(bag) in self._freq
+        return self._position(bag) >= 0
 
     def frequency(self, bag) -> int:
-        return self._freq.get(tuple(bag), 0)
+        pos = self._position(bag)
+        return int(self._freq[pos]) if pos >= 0 else 0
 
     @property
     def frozen(self) -> bool:
@@ -171,56 +175,73 @@ class BehaviorDb:
 
     @property
     def insertion_order(self) -> list[BoSC]:
-        return list(self._freq)
+        return [bag for bag, _ in self.items()]
 
-    def items(self):
-        return self._freq.items()
+    def items(self) -> Iterator[tuple[BoSC, int]]:
+        """(count tuple, frequency) pairs in insertion order."""
+        for lo in range(0, len(self), CHUNK):
+            rows = Bags(self._keys[lo : lo + CHUNK], self._n_s).counts().tolist()
+            yield from zip(map(tuple, rows), self._freq[lo : lo + CHUNK].tolist())
 
     def total_frequency(self) -> int:
-        return sum(self._freq.values())
+        return int(self._freq.sum())
+
+    def _position(self, bag) -> int:
+        try:
+            return int(self.positions(Bags.from_counts([tuple(bag)]))[0])
+        except ValueError:  # not a bag at all, so not in the db
+            return -1
+
+    def positions(self, bags: Bags) -> np.ndarray:
+        """Each bag's insertion position, or -1 where the db lacks it."""
+        pos = np.full(len(bags), -1, dtype=np.int64)
+        if (bags.n_s, bags.w) != (self._n_s, self._w) or not len(self):
+            return pos
+        idx = np.searchsorted(self._sorted, bags.keys)
+        at = np.minimum(idx, len(self) - 1)
+        hit = self._sorted[at] == bags.keys
+        pos[hit] = self._sorted_pos[at[hit]]
+        return pos
 
     def insert(self, bag) -> int:
         """Increment the bag's frequency (new bags start at 1); returns the
         new frequency."""
-        if self._frozen:
-            raise FrozenDbError("behavior db is frozen")
-        key = tuple(bag)
-        f = self._freq.get(key, 0) + 1
-        self._freq[key] = f
-        return f
+        self.insert_many(Bags.from_counts([tuple(bag)]), [1])
+        return self.frequency(bag)
 
-    def insert_many(self, bags: Iterable[BoSC], multiplicities) -> None:
-        """Bulk form of insert for pre-aggregated (bag, multiplicity) pairs."""
+    def insert_many(self, bags: Bags, multiplicities) -> ChangeVector:
+        """Add each bag's multiplicity to its frequency and return the change.
+
+        Bags new to the db are appended in the order they first appear.
+        Raises ValueError if the bags' n_s or w differ from those of the
+        db's first insert.
+        """
         if self._frozen:
             raise FrozenDbError("behavior db is frozen")
-        freq = self._freq
-        for bag, m in zip(bags, multiplicities):
-            key = tuple(bag)  # no-op for tuples
-            freq[key] = freq.get(key, 0) + int(m)
+        if self._n_s is None:
+            self._n_s, self._w = bags.n_s, bags.w
+            self._keys = self._sorted = bags.keys[:0]
+        elif (bags.n_s, bags.w) != (self._n_s, self._w):
+            raise ValueError(
+                f"bags over n_s={bags.n_s}, w={bags.w} do not fit a db of n_s={self._n_s}, w={self._w}"
+            )
+        pos = self.positions(bags)
+        new = pos < 0
+        if new.any():
+            uniq, first, inverse = np.unique(bags.keys[new], return_index=True, return_inverse=True)
+            order = np.argsort(first)
+            new_pos = np.empty(len(uniq), dtype=np.int64)
+            new_pos[order] = np.arange(len(self), len(self) + len(uniq))
+            pos[new] = new_pos[inverse]
+            at = np.searchsorted(self._sorted, uniq)
+            self._sorted = np.insert(self._sorted, at, uniq)
+            self._sorted_pos = np.insert(self._sorted_pos, at, new_pos)
+            self._keys = np.concatenate([self._keys, uniq[order]])
+            self._freq = np.concatenate([self._freq, np.zeros(len(uniq), dtype=np.int64)])
+        deltas = np.zeros(len(self), dtype=np.int64)
+        np.add.at(deltas, pos, multiplicities)
+        self._freq += deltas
+        return ChangeVector(deltas)
 
     def freeze(self) -> None:
         self._frozen = True
-
-    def snapshot(self) -> DbSnapshot:
-        keys = tuple(self._freq)
-        freqs = np.fromiter(self._freq.values(), dtype=np.int64, count=len(keys))
-        return DbSnapshot(keys, freqs)
-
-    def frequencies_array(self) -> np.ndarray:
-        return np.fromiter(self._freq.values(), dtype=np.int64, count=len(self._freq))
-
-
-def db_diff(before: DbSnapshot, after: BehaviorDb) -> ChangeVector:
-    """Frequency deltas between a snapshot and the current db state.
-
-    Keys absent from the snapshot count as frequency 0. The snapshot's keys
-    must be a prefix of the db's insertion order (same lineage) or this is a
-    hard error.
-    """
-    order = after.insertion_order
-    n_before = len(before.keys)
-    if n_before > len(order) or order[:n_before] != list(before.keys):
-        raise ValueError("snapshot is not a prefix of the database (different lineage)")
-    deltas = after.frequencies_array()
-    deltas[:n_before] -= before.freqs
-    return ChangeVector(deltas)

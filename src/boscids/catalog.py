@@ -5,7 +5,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .trace_ingest import CountTable
+from .trace_ingest import CountTable, RawTrace
 
 OTHER_NAME = "other"
 
@@ -71,5 +71,25 @@ def build_index(counts: CountTable) -> SyscallIndex:
     return SyscallIndex(slots, t_o)
 
 
-def resolve(index: SyscallIndex, name: str) -> int:
-    return index.resolve(name)
+def is_slot_stream(trace) -> bool:
+    """True when the trace's calls are integer slots, not syscall names."""
+    seq = trace.calls if isinstance(trace, RawTrace) else trace
+    if isinstance(seq, np.ndarray):
+        return np.issubdtype(seq.dtype, np.integer)
+    return len(seq) > 0 and isinstance(seq[0], (int, np.integer))
+
+
+def slot_stream(trace, index: SyscallIndex) -> np.ndarray:
+    """Normalize a trace to an int64 slot array over the index.
+
+    Names (a RawTrace or a name sequence) resolve through the index, unknown
+    ones to OTHER; an integer stream is taken as already resolved and only
+    range-checked.
+    """
+    seq = trace.calls if isinstance(trace, RawTrace) else trace
+    if not is_slot_stream(seq):
+        return index.resolve_stream(seq)
+    slots = np.asarray(seq, dtype=np.int64)
+    if slots.size and (slots.min() < 0 or slots.max() >= index.n_s):
+        raise ValueError("slot stream contains indices outside the index")
+    return slots

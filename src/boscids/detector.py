@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .bosc import unique_window_bags
-from .trace_ingest import RawTrace
+from .catalog import slot_stream
 from .trainer import TrainedModel
 
 log = logging.getLogger(__name__)
@@ -50,9 +50,8 @@ def scan_epoch(model: TrainedModel, epoch, epoch_index: int = 0,
             epoch_index, 0, 0, threshold, False,
             warning=f"epoch of {n} calls is shorter than window {w}; skipped",
         )
-    keys, mult = unique_window_bags(slots, w, model.index.n_s)
-    db = model.db
-    mismatches = int(sum(int(m) for bag, m in zip(keys, mult) if bag not in db))
+    bags, mult = unique_window_bags(slots, w, model.index.n_s)
+    mismatches = int(mult[model.db.positions(bags) < 0].sum())
     n_windows = n - w + 1
     return EpochVerdict(epoch_index, n_windows, mismatches, threshold, mismatches > threshold)
 
@@ -64,14 +63,7 @@ def detect(model: TrainedModel, trace, threshold_fraction: float | None = None) 
     long; anything shorter is dropped with a note in the totals. Unknown
     syscall names resolve to the OTHER slot, never failing.
     """
-    seq = trace.calls if isinstance(trace, RawTrace) else trace
-    if isinstance(seq, np.ndarray) and np.issubdtype(seq.dtype, np.integer):
-        slots = seq.astype(np.int64, copy=False)
-    elif len(seq) > 0 and isinstance(seq[0], (int, np.integer)):
-        slots = np.asarray(seq, dtype=np.int64)
-    else:
-        slots = model.index.resolve_stream(seq)
-
+    slots = slot_stream(trace, model.index)
     S = model.config.epoch_size
     w = model.config.window_size
     n = int(slots.shape[0])
@@ -85,13 +77,16 @@ def detect(model: TrainedModel, trace, threshold_fraction: float | None = None) 
     elif rem:
         dropped = rem
         log.warning("dropping trailing %d calls (shorter than window %d)", rem, w)
+    return _report_of(verdicts, dropped)
 
+
+def _report_of(verdicts: list[EpochVerdict], dropped_tail_calls: int) -> DetectionReport:
     totals = {
         "epochs": len(verdicts),
         "windows": sum(v.windows_scanned for v in verdicts),
         "mismatches": sum(v.mismatches for v in verdicts),
         "anomalous_epochs": sum(v.anomalous for v in verdicts),
-        "dropped_tail_calls": dropped,
+        "dropped_tail_calls": dropped_tail_calls,
     }
     return DetectionReport(verdicts, any(v.anomalous for v in verdicts), totals)
 
@@ -137,11 +132,5 @@ def read_report_file(path) -> DetectionReport:
         )
     if not saw_total:
         raise ValueError(f"{p}: missing summary line")
-    totals = {
-        "epochs": len(verdicts),
-        "windows": sum(v.windows_scanned for v in verdicts),
-        "mismatches": sum(v.mismatches for v in verdicts),
-        "anomalous_epochs": sum(v.anomalous for v in verdicts),
-        "dropped_tail_calls": 0,
-    }
-    return DetectionReport(verdicts, any(v.anomalous for v in verdicts), totals)
+    # The report format does not carry the dropped tail.
+    return _report_of(verdicts, 0)

@@ -10,15 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bosc import (
-    BehaviorDb,
-    ChangeVector,
-    Config,
-    db_diff,
-    unique_window_bags,
-)
-from .catalog import OTHER_NAME, SyscallIndex, build_index
-from .trace_ingest import SYSCALL_NAME_RE, CountTable, RawTrace, count_table
+from .bosc import CHUNK, Bags, BehaviorDb, ChangeVector, Config, unique_window_bags
+from .catalog import OTHER_NAME, SyscallIndex, build_index, is_slot_stream, slot_stream
+from .trace_ingest import SYSCALL_NAME_RE, CountTable, count_table
 
 log = logging.getLogger(__name__)
 
@@ -74,29 +68,6 @@ def cosine_similarity(a, b) -> float:
     return float(va @ vb) / (na * nb)
 
 
-def _as_slot_stream(trace, counts: CountTable | None):
-    """Normalize the accepted trace forms to (slot array, index)."""
-    seq = trace.calls if isinstance(trace, RawTrace) else trace
-    if isinstance(seq, np.ndarray) and np.issubdtype(seq.dtype, np.integer):
-        if counts is None:
-            raise ValueError("a pre-resolved slot stream needs an explicit count table")
-        index = build_index(counts)
-        slots = seq.astype(np.int64, copy=False)
-    elif len(seq) > 0 and isinstance(seq[0], (int, np.integer)):
-        if counts is None:
-            raise ValueError("a pre-resolved slot stream needs an explicit count table")
-        index = build_index(counts)
-        slots = np.asarray(seq, dtype=np.int64)
-    else:
-        if counts is None:
-            counts = count_table(seq)
-        index = build_index(counts)
-        slots = index.resolve_stream(seq)
-    if slots.size and (slots.min() < 0 or slots.max() >= index.n_s):
-        raise ValueError("slot stream contains indices outside the index")
-    return slots, index
-
-
 def train(trace, counts: CountTable | None = None, config: Config | None = None) -> TrainedModel:
     """Learn normal behavior from a trace of full epochs.
 
@@ -108,7 +79,12 @@ def train(trace, counts: CountTable | None = None, config: Config | None = None)
     """
     if config is None:
         config = Config()
-    slots, index = _as_slot_stream(trace, counts)
+    if counts is None:
+        if is_slot_stream(trace):
+            raise ValueError("a pre-resolved slot stream needs an explicit count table")
+        counts = count_table(trace)
+    index = build_index(counts)
+    slots = slot_stream(trace, index)
     S = config.epoch_size
     w = config.window_size
     n_epochs = len(slots) // S
@@ -126,11 +102,8 @@ def train(trace, counts: CountTable | None = None, config: Config | None = None)
     converged = False
     trained = 0
     for k in range(1, n_epochs + 1):
-        snap = db.snapshot()
-        epoch = slots[(k - 1) * S : k * S]
-        keys, mult = unique_window_bags(epoch, w, index.n_s)
-        db.insert_many(keys, mult)
-        change = db_diff(snap, db)
+        bags, mult = unique_window_bags(slots[(k - 1) * S : k * S], w, index.n_s)
+        change = db.insert_many(bags, mult)
         trained = k
         if k > 1:
             cos = cosine_similarity(change, change_prev)
@@ -247,24 +220,39 @@ def load_model(path) -> TrainedModel:
     m = re.fullmatch(r"entries=(\d+)", header)
     if m is None:
         raise ModelFormatError("entries", f"bad entry header {header!r}")
+    n_entries = int(m.group(1))
+    w = config.window_size
+    key_chunks = []
+    # Bounded memory: at most one entry per line, one chunk of tuples at a time.
+    freqs = np.zeros(min(n_entries, len(body)), dtype=np.int64)
+    for lo in range(0, n_entries, CHUNK):
+        rows = []
+        for i in range(lo, min(lo + CHUNK, n_entries)):
+            line = rd.next("entries")
+            counts_part, sep, freq_part = line.rpartition(":")
+            if not sep:
+                raise ModelFormatError("entries", f"entry {i}: missing ':' separator")
+            try:
+                bag = tuple(map(int, counts_part.split()))
+                freqs[i] = int(freq_part)
+            except (ValueError, OverflowError):
+                raise ModelFormatError("entries", f"entry {i}: unparseable {line!r}") from None
+            if len(bag) != n_s:
+                raise ModelFormatError("entries", f"entry {i}: {len(bag)} counts, expected {n_s}")
+            if freqs[i] < 1 or min(bag) < 0:
+                raise ModelFormatError("entries", f"entry {i}: negative value")
+            if sum(bag) != w:
+                raise ModelFormatError("entries", f"entry {i}: counts sum to {sum(bag)}, expected w={w}")
+            rows.append(bag)
+        key_chunks.append(Bags.from_counts(rows).keys)
     db = BehaviorDb()
-    for i in range(int(m.group(1))):
-        line = rd.next("entries")
-        counts_part, sep, freq_part = line.rpartition(":")
-        if not sep:
-            raise ModelFormatError("entries", f"entry {i}: missing ':' separator")
-        try:
-            bag = tuple(int(tok) for tok in counts_part.split())
-            freq = int(freq_part)
-        except ValueError:
-            raise ModelFormatError("entries", f"entry {i}: unparseable {line!r}") from None
-        if len(bag) != n_s:
-            raise ModelFormatError("entries", f"entry {i}: {len(bag)} counts, expected {n_s}")
-        if freq < 1 or min(bag) < 0:
-            raise ModelFormatError("entries", f"entry {i}: negative value")
-        if bag in db:
-            raise ModelFormatError("entries", f"entry {i}: duplicate bag")
-        db.insert_many([bag], [freq])
+    if n_entries:
+        keys = np.concatenate(key_chunks)
+        db.insert_many(Bags(keys, n_s), freqs)
+        if len(db) != n_entries:
+            _, first = np.unique(keys, return_index=True)
+            dup = int(np.setdiff1d(np.arange(n_entries), first)[0])
+            raise ModelFormatError("entries", f"entry {dup}: duplicate bag")
     db.freeze()
 
     header = rd.next("history")

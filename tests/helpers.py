@@ -1,11 +1,13 @@
 """Independent brute-force oracles the engine-path tests compare against.
 
-Everything here recounts from scratch with plain Python loops; none of it
-shares code with the vectorized paths under test.
+Everything here recounts from scratch, with plain Python loops or with
+count-matrix rows; none of it shares code with the bag-key paths under test.
 """
 
 import math
 from collections import Counter
+
+import numpy as np
 
 
 def brute_force_bag(window, n_s):
@@ -18,6 +20,26 @@ def brute_force_bag(window, n_s):
 def brute_force_epoch_bags(epoch, w, n_s):
     """Every window's bag, one by one, stride 1, within a single epoch."""
     return [brute_force_bag(epoch[i : i + w], n_s) for i in range(len(epoch) - w + 1)]
+
+
+def epoch_bag_matrix(slots, w, n_s):
+    """All window bags of one epoch as an (n_windows, n_s) count matrix."""
+    arr = np.asarray(slots, dtype=np.int64)
+    n = arr.shape[0]
+    if n < w:
+        return np.zeros((0, n_s), dtype=np.int64)
+    nwin = n - w + 1
+    win = np.lib.stride_tricks.sliding_window_view(arr, w)
+    flat = (win + np.arange(nwin, dtype=np.int64)[:, None] * n_s).ravel()
+    return np.bincount(flat, minlength=nwin * n_s).reshape(nwin, n_s)
+
+
+def unique_bags(bag_matrix):
+    """Distinct rows of a bag matrix, ascending, plus multiplicities."""
+    if bag_matrix.shape[0] == 0:
+        return [], np.zeros(0, dtype=np.int64)
+    uniq, counts = np.unique(bag_matrix, axis=0, return_counts=True)
+    return [tuple(row) for row in uniq.tolist()], counts
 
 
 def brute_force_db(slot_stream, S, w, n_s):

@@ -1,20 +1,21 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from boscids.bosc import (
+    Bags,
     BehaviorDb,
     Config,
     FrozenDbError,
     bag_of,
-    db_diff,
-    epoch_bag_matrix,
     epoch_windows,
-    unique_bags,
     unique_window_bags,
 )
-from helpers import brute_force_db, brute_force_epoch_bags
+from helpers import brute_force_db, brute_force_epoch_bags, epoch_bag_matrix, unique_bags
 
 
 def test_config_defaults():
@@ -132,19 +133,19 @@ def test_db_freeze_blocks_writes():
         db.insert_many([(2,)], [1])
 
 
+def window_bags(epoch, w, n_s):
+    return Bags.from_counts([bag_of(window, n_s) for window in epoch_windows(epoch, w)])
+
+
 def test_db_diff_growth_from_empty():
     db = BehaviorDb()
-    before = db.snapshot()
-    db.insert_many([(1, 1)], [3])
-    assert db_diff(before, db).deltas.tolist() == [3]
+    assert db.insert_many(Bags.from_counts([(1, 1)]), [3]).deltas.tolist() == [3]
 
 
 def test_db_diff_componentwise():
     db = BehaviorDb()
-    db.insert_many([(1, 0)], [3])
-    before = db.snapshot()
-    db.insert_many([(1, 0), (0, 1)], [2, 1])
-    change = db_diff(before, db)
+    db.insert_many(Bags.from_counts([(1, 0)]), [3])
+    change = db.insert_many(Bags.from_counts([(1, 0), (0, 1)]), [2, 1])
     assert change.deltas.tolist() == [2, 1]
     assert change.n_k == 2
 
@@ -157,22 +158,10 @@ def test_db_diff_known_bags_only():
     db = BehaviorDb()
     for window in epoch_windows(epoch, 4):
         db.insert(bag_of(window, 3))
-    before = db.snapshot()
-    for window in epoch_windows(epoch, 4):
-        db.insert(bag_of(window, 3))
-    change = db_diff(before, db)
+    change = db.insert_many(window_bags(epoch, 4, 3), [1] * 97)
     assert change.n_k == len(db)
     assert int(change.deltas.sum()) == 97
     assert all(d > 0 for d in change.deltas.tolist())
-
-
-def test_db_diff_lineage_violation_is_hard_error():
-    a = BehaviorDb()
-    a.insert((1, 0))
-    other = BehaviorDb()
-    other.insert((0, 1))
-    with pytest.raises(ValueError, match="lineage"):
-        db_diff(a.snapshot(), other)
 
 
 def test_change_vector_sums_to_windows_per_epoch():
@@ -181,10 +170,34 @@ def test_change_vector_sums_to_windows_per_epoch():
     w, n_s = 3, 5
     for _ in range(4):
         epoch = [rng.randrange(n_s) for _ in range(50)]
-        before = db.snapshot()
-        for window in epoch_windows(epoch, w):
-            db.insert(bag_of(window, n_s))
-        assert int(db_diff(before, db).deltas.sum()) == 50 - w + 1
+        change = db.insert_many(window_bags(epoch, w, n_s), [1] * (50 - w + 1))
+        assert int(change.deltas.sum()) == 50 - w + 1
+
+
+def test_change_vector_equals_frequency_difference():
+    # bulk inserts with repeated bags: first-appearance order, and deltas
+    # equal the per-bag frequency difference, zero-extended over new bags
+    rng = random.Random(5)
+    db = BehaviorDb()
+    freq = {}
+    for _ in range(6):
+        epoch = [rng.randrange(4) for _ in range(30)]
+        before = dict(freq)
+        for bag in brute_force_epoch_bags(epoch, 3, 4):
+            freq[bag] = freq.get(bag, 0) + 1
+        change = db.insert_many(window_bags(epoch, 3, 4), [1] * 28)
+        assert db.insertion_order == list(freq)
+        assert change.deltas.tolist() == [f - before.get(b, 0) for b, f in freq.items()]
+
+
+def test_db_rejects_bags_of_another_shape():
+    db = BehaviorDb()
+    db.insert((1, 1, 0))
+    with pytest.raises(ValueError):
+        db.insert((1, 1))  # other n_s
+    with pytest.raises(ValueError):
+        db.insert((1, 2, 0))  # other w
+    assert (1, 1) not in db and db.frequency((3, 0, 0)) == 0
 
 
 def test_db_total_frequency_equals_windows_processed():
@@ -212,6 +225,7 @@ def test_db_size_monotone_across_epochs():
 
 
 def test_epoch_bag_matrix_matches_pure_path():
+    # the count-matrix oracle itself against window-by-window bags
     rng = random.Random(17)
     for _ in range(50):
         n_s = rng.randint(2, 25)
@@ -222,6 +236,10 @@ def test_epoch_bag_matrix_matches_pure_path():
         assert [tuple(row) for row in mat.tolist()] == expected
 
 
+def decoded(bags):
+    return [tuple(row) for row in bags.counts().tolist()]
+
+
 def test_unique_window_bags_matches_row_uniquing():
     rng = np.random.default_rng(23)
     for _ in range(100):
@@ -230,18 +248,44 @@ def test_unique_window_bags_matches_row_uniquing():
         epoch = rng.integers(0, n_s, size=int(rng.integers(w, 300)))
         k1, c1 = unique_bags(epoch_bag_matrix(epoch, w, n_s))
         k2, c2 = unique_window_bags(epoch, w, n_s)
-        assert k1 == k2
+        assert k1 == decoded(k2)
         assert c1.tolist() == c2.tolist()
 
 
 def test_unique_window_bags_wide_alphabet_fallback():
-    # n_s**w too large to pack: falls back to row uniquing, same result
+    # n_s**w far beyond int64: bag keys stay exact, same as row uniquing
     rng = np.random.default_rng(29)
     n_s, w = 5000, 8
     epoch = rng.integers(0, n_s, size=100)
     k1, c1 = unique_bags(epoch_bag_matrix(epoch, w, n_s))
     k2, c2 = unique_window_bags(epoch, w, n_s)
-    assert k1 == k2 and c1.tolist() == c2.tolist()
+    assert k1 == decoded(k2) and c1.tolist() == c2.tolist()
+
+
+@st.composite
+def slot_streams(draw):
+    n_s = draw(st.integers(1, 400))
+    w = draw(st.integers(1, 20))
+    stream = draw(st.lists(st.integers(0, n_s - 1), max_size=w + 120))
+    return n_s, w, stream
+
+
+def _stream(seed, n_s, size):
+    return np.random.default_rng(seed).integers(0, n_s, size=size).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(slot_streams())
+@example((90, 20, _stream(1, 90, 300)))
+@example((5000, 8, _stream(2, 5000, 150)))
+def test_bag_keys_decode_to_brute_force_bags(case):
+    # keys come out in ascending count-vector order, the v1 insertion order
+    n_s, w, stream = case
+    bags, mult = unique_window_bags(stream, w, n_s)
+    expected = sorted(Counter(brute_force_epoch_bags(stream, w, n_s)).items())
+    assert list(zip(decoded(bags), mult.tolist())) == expected
+    if expected:
+        assert Bags.from_counts([bag for bag, _ in expected]).keys.tobytes() == bags.keys.tobytes()
 
 
 def test_incremental_db_equals_brute_force_recount():
@@ -254,6 +298,6 @@ def test_incremental_db_equals_brute_force_recount():
         db = BehaviorDb()
         for e in range(len(stream) // S):
             epoch = stream[e * S : (e + 1) * S]
-            keys, mult = unique_window_bags(epoch, w, n_s)
-            db.insert_many(keys, mult)
+            bags, mult = unique_window_bags(epoch, w, n_s)
+            db.insert_many(bags, mult)
         assert dict(db.items()) == brute_force_db(stream, S, w, n_s)

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
-from boscids.catalog import SyscallIndex, build_index, resolve
-from boscids.trace_ingest import CountTable, count_table
+from boscids.catalog import SyscallIndex, build_index, slot_stream
+from boscids.trace_ingest import CountTable, RawTrace, count_table
 
 
 def test_build_index_drops_below_threshold():
@@ -34,9 +35,9 @@ def test_build_index_slot_order_follows_count_table():
 
 def test_resolve_known_and_unknown():
     index = build_index(CountTable((("read", 10), ("write", 5))))
-    assert resolve(index, "read") == 0
-    assert resolve(index, "write") == 1
-    assert resolve(index, "ptrace") == 2  # OTHER
+    assert index.resolve("read") == 0
+    assert index.resolve("write") == 1
+    assert index.resolve("ptrace") == 2  # OTHER
     assert index.other_slot == 2
 
 
@@ -82,3 +83,18 @@ def test_resolve_stream_matches_scalar_resolve():
     index = build_index(CountTable((("read", 10), ("write", 5))))
     names = ["read", "mystery", "write", "write", "read"]
     assert index.resolve_stream(names).tolist() == [index.resolve(n) for n in names]
+
+
+def test_slot_stream_resolves_names_and_passes_slots():
+    index = build_index(CountTable((("read", 10), ("write", 5))))
+    names = ["write", "mystery", "read"]
+    assert slot_stream(names, index).tolist() == [1, 2, 0]
+    assert slot_stream(RawTrace(names), index).tolist() == [1, 2, 0]
+    assert slot_stream([2, 0, 1], index).tolist() == [2, 0, 1]
+    assert slot_stream(np.array([1, 1], dtype=np.int32), index).dtype == np.int64
+
+
+def test_slot_stream_rejects_slots_outside_index():
+    index = build_index(CountTable((("read", 10),)))
+    with pytest.raises(ValueError, match="outside the index"):
+        slot_stream([0, 2], index)

@@ -1,6 +1,7 @@
 import logging
 import math
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -221,3 +222,37 @@ def test_load_detects_truncation(tmp_path):
     p.write_bytes(data[: len(data) // 2])
     with pytest.raises(ModelFormatError):
         load_model(p)
+
+
+def reseal(path, old: bytes, new: bytes):
+    """Edit a saved model's body and recompute its crc32 trailer."""
+    data = path.read_bytes()
+    body = data[: data.rfind(b"crc32=")].replace(old, new)
+    path.write_bytes(body + f"crc32={zlib.crc32(body) & 0xFFFFFFFF:08x}\n".encode("ascii"))
+
+
+def test_load_rejects_entry_not_summing_to_window(tmp_path):
+    p = tmp_path / "m.model"
+    save_model(model_fixture(), p)  # w=2, one entry "1 1 0 : <freq>"
+    reseal(p, b"\n1 1 0 : ", b"\n5 0 0 : ")
+    with pytest.raises(ModelFormatError, match="sum") as exc:
+        load_model(p)
+    assert exc.value.section == "entries"
+
+
+def test_load_rejects_duplicate_entry(tmp_path):
+    p = tmp_path / "m.model"
+    save_model(model_fixture(), p)
+    reseal(p, b"entries=1\n1 1 0 : ", b"entries=2\n1 1 0 : 1\n1 1 0 : ")
+    with pytest.raises(ModelFormatError, match="entry 1: duplicate") as exc:
+        load_model(p)
+    assert exc.value.section == "entries"
+
+
+def test_load_rejects_inflated_entry_count(tmp_path):
+    p = tmp_path / "m.model"
+    save_model(model_fixture(), p)
+    reseal(p, b"entries=1\n", b"entries=999999999999\n")
+    with pytest.raises(ModelFormatError) as exc:
+        load_model(p)
+    assert exc.value.section == "entries"
