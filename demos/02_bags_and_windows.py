@@ -26,12 +26,12 @@ change_1 = db.insert_many(bags_a, [1] * len(bags_a))
 print(f"\n= after epoch A: {len(db)} distinct bags")
 for bag, freq in db.items():
     print(f"  {list(bag)} x{freq}")
-print(f"  change vector C_1 = {change_1.deltas.tolist()}")
+print(f"  change vector C_1 = {change_1.tolist()}")
 
 bags_b = epoch_bags(epoch_b)
 change_2 = db.insert_many(bags_b, [1] * len(bags_b))
 print(f"\n= after epoch B: {len(db)} distinct bags")
-print(f"  change vector C_2 = {change_2.deltas.tolist()}")
+print(f"  change vector C_2 = {change_2.tolist()}")
 print("  (C_2 is indexed by the db's insertion order after epoch B;")
 print("   C_1 zero-extends over entries that did not exist yet)")
 
@@ -42,5 +42,5 @@ print("  (default 0.99) for two consecutive epochs")
 
 # the sum of each window's bag is always the window size
 assert all(sum(bag_of(win, n_s)) == w for win in epoch_windows(epoch_a, w))
-assert int(change_2.deltas.sum()) == len(epoch_b) - w + 1
+assert int(change_2.sum()) == len(epoch_b) - w + 1
 print("\ninvariants hold: bags sum to w; C_k sums to windows-per-epoch")

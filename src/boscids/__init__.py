@@ -8,7 +8,6 @@ traces whose unknown-bag count exceeds the threshold.
 from .bosc import (
     BehaviorDb,
     BoSC,
-    ChangeVector,
     Config,
     FrozenDbError,
     bag_of,

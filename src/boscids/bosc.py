@@ -123,18 +123,6 @@ def unique_window_bags(slots, w: int, n_s: int) -> tuple[Bags, np.ndarray]:
     return Bags(keys, n_s), counts
 
 
-@dataclass(frozen=True, eq=False)
-class ChangeVector:
-    """Per-epoch frequency deltas, indexed by the db's insertion order after
-    the epoch that produced them."""
-
-    deltas: np.ndarray
-
-    @property
-    def n_k(self) -> int:
-        return int(self.deltas.shape[0])
-
-
 class FrozenDbError(RuntimeError):
     pass
 
@@ -209,8 +197,9 @@ class BehaviorDb:
         self.insert_many(Bags.from_counts([tuple(bag)]), [1])
         return self.frequency(bag)
 
-    def insert_many(self, bags: Bags, multiplicities) -> ChangeVector:
-        """Add each bag's multiplicity to its frequency and return the change.
+    def insert_many(self, bags: Bags, multiplicities) -> np.ndarray:
+        """Add each bag's multiplicity to its frequency and return the change
+        vector: the int64 frequency deltas, indexed by insertion position.
 
         Bags new to the db are appended in the order they first appear.
         Raises ValueError if the bags' n_s or w differ from those of the
@@ -241,7 +230,7 @@ class BehaviorDb:
         deltas = np.zeros(len(self), dtype=np.int64)
         np.add.at(deltas, pos, multiplicities)
         self._freq += deltas
-        return ChangeVector(deltas)
+        return deltas
 
     def freeze(self) -> None:
         self._frozen = True

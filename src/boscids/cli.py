@@ -18,19 +18,12 @@ from .bosc import Config
 
 CONFIG_ENV_VAR = "BOSCIDS_CONFIG"
 
-_DEFAULTS = {
-    "window": 10,
-    "epoch-size": 5000,
-    "train-threshold": 0.99,
-    "detect-fraction": 0.10,
-    "seed": 42,
-    "jobs": 1,
-    "granularity": "epoch",
-    "alphabet-size": 64,
-    "zipf-s": 1.2,
-    "intensity": 0.5,
-    "inject-mode": "novel_names",
-}
+# Flags a config file may set, by long name. A subcommand takes those it has
+# and ignores the rest, so one file can serve every subcommand.
+CONFIG_KEYS = frozenset({
+    "window", "epoch-size", "train-threshold", "detect-fraction", "seed", "jobs",
+    "granularity", "alphabet-size", "zipf-s", "intensity", "inject-mode",
+})
 
 
 class CliError(Exception):
@@ -41,10 +34,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage by default; 2 is reserved for anomalies.
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _dest(flag: str) -> str:
-    return flag.replace("-", "_")
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -59,65 +48,22 @@ def _load_config_file(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise CliError(f"config: {path}:{i}: expected key=value, got {line!r}")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise CliError(f"config: unknown field {key!r}")
+        values[key.replace("-", "_")] = value.strip()
     return values
 
 
-class _Settings:
-    """Layered option lookup: explicit flag > config file > built-in default."""
-
-    def __init__(self, args: argparse.Namespace):
-        self._args = args
-        path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
-        self._file = _load_config_file(path) if path else {}
-        known = set(_DEFAULTS)
-        for key in self._file:
-            if key not in known:
-                raise CliError(f"config: unknown field {key!r}")
-
-    def has_file_value(self, flag: str) -> bool:
-        return flag in self._file
-
-    def get(self, flag: str, cast=str):
-        value = getattr(self._args, _dest(flag), None)
-        if value is not None:
-            return value
-        if flag in self._file:
-            try:
-                return cast(self._file[flag])
-            except ValueError:
-                raise CliError(f"config: field {flag!r}: invalid value {self._file[flag]!r}") from None
-        return _DEFAULTS[flag]
-
-    def pipeline_config(self) -> Config:
-        return Config(
-            window_size=self.get("window", int),
-            epoch_size=self.get("epoch-size", int),
-            train_threshold=self.get("train-threshold", float),
-            detect_threshold_fraction=self.get("detect-fraction", float),
-        )
-
-
-def _add_config_flags(p: argparse.ArgumentParser, *, window=True, thresholds=True):
-    if window:
-        p.add_argument("--window", type=int, metavar="W",
-                       help="sliding window size in calls (default: 10)")
-        p.add_argument("--epoch-size", type=int, metavar="S",
-                       help="epoch size in calls (default: 5000)")
-    if thresholds:
-        p.add_argument("--train-threshold", type=float, metavar="T",
-                       help="cosine similarity needed for two consecutive epochs to stop training (default: 0.99)")
-        p.add_argument("--detect-fraction", type=float, metavar="F",
-                       help="mismatch threshold as a fraction of epoch length (default: 0.10)")
-    p.add_argument("--config", metavar="PATH",
-                   help=f"key=value config file; ${CONFIG_ENV_VAR} names a default (flags win)")
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The boscids parser and its subcommand parsers by name."""
     parser = _Parser(prog="boscids",
                      description="Bag-of-system-calls anomaly detection over syscall traces.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND",
                               parser_class=_Parser)
+    config = _Parser(add_help=False)
+    config.add_argument("--config", metavar="PATH",
+                        help=f"key=value config file; ${CONFIG_ENV_VAR} names a default (flags win)")
 
     p = sub.add_parser("ingest",
                        help="parse tracer output into trace and count files",
@@ -128,16 +74,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-out", metavar="PATH",
                    help="count file to write (default: INPUT.counts)")
 
-    p = sub.add_parser("train",
+    p = sub.add_parser("train", parents=[config],
                        help="learn a normal-behavior model from a trace file",
                        description="Train on a name-per-line trace file; prints per-epoch similarity and writes the model. Exit 3 if training does not converge.")
     p.add_argument("trace", metavar="TRACE_FILE", help="name-per-line trace file")
     p.add_argument("--model", required=True, metavar="PATH", help="model file to write")
     p.add_argument("--counts", metavar="PATH",
                    help="count file from ingest (default: recomputed from the trace)")
-    _add_config_flags(p)
+    p.add_argument("--window", type=int, default=10, metavar="W",
+                   help="sliding window size in calls (default: 10)")
+    p.add_argument("--epoch-size", type=int, default=5000, metavar="S",
+                   help="epoch size in calls (default: 5000)")
+    p.add_argument("--train-threshold", type=float, default=0.99, metavar="T",
+                   help="cosine similarity needed for two consecutive epochs to stop training (default: 0.99)")
+    p.add_argument("--detect-fraction", type=float, default=0.10, metavar="F",
+                   help="mismatch threshold as a fraction of epoch length (default: 0.10)")
 
-    p = sub.add_parser("detect",
+    p = sub.add_parser("detect", parents=[config],
                        help="scan trace files against a trained model",
                        description="Scan one or more name-per-line trace files; exit 2 when any epoch is anomalous.")
     p.add_argument("traces", nargs="+", metavar="TRACE_FILE", help="name-per-line trace file(s)")
@@ -145,47 +98,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", metavar="PATH",
                    help="write the report here instead of stdout (single trace only)")
     p.add_argument("--detect-fraction", type=float, metavar="F",
-                   help="override the model's mismatch threshold fraction (default: 0.10)")
-    p.add_argument("--jobs", type=int, metavar="N",
-                   help="scan multiple traces in parallel (default: 1)")
-    p.add_argument("--config", metavar="PATH",
-                   help=f"key=value config file; ${CONFIG_ENV_VAR} names a default (flags win)")
+                   help="override the model's mismatch threshold fraction (default: the model's own)")
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="scan multiple traces on N threads (default: 1)")
 
-    p = sub.add_parser("eval",
+    p = sub.add_parser("eval", parents=[config],
                        help="compute TPR/FPR from reports and label files",
                        description="Pair detection reports with ground-truth label files and compute TPR/FPR.")
     p.add_argument("--report", action="append", required=True, metavar="PATH",
                    help="detection report file (repeatable)")
     p.add_argument("--labels", action="append", required=True, metavar="PATH",
                    help="label file matching the report given in the same position (repeatable)")
-    p.add_argument("--granularity", choices=("epoch", "window"),
+    # argparse checks choices on flags only; compute_metrics rejects a bad
+    # value from a config file.
+    p.add_argument("--granularity", choices=evaluator.GRANULARITIES, default="epoch",
                    help="count epochs or windows (default: epoch)")
-    p.add_argument("--config", metavar="PATH",
-                   help=f"key=value config file; ${CONFIG_ENV_VAR} names a default (flags win)")
 
-    p = sub.add_parser("gen",
+    p = sub.add_parser("gen", parents=[config],
                        help="generate a deterministic synthetic trace",
                        description="Generate a seeded synthetic workload trace, optionally with labeled injected epochs.")
     p.add_argument("--calls", type=int, required=True, metavar="N", help="trace length in calls")
     p.add_argument("--out", required=True, metavar="PATH", help="trace file to write")
-    p.add_argument("--seed", type=int, metavar="SEED", help="generator seed (default: 42)")
-    p.add_argument("--alphabet-size", type=int, metavar="N",
+    p.add_argument("--seed", type=int, default=42, metavar="SEED", help="generator seed (default: 42)")
+    p.add_argument("--alphabet-size", type=int, default=64, metavar="N",
                    help="distinct syscall names in the source (default: 64)")
-    p.add_argument("--zipf-s", type=float, metavar="S",
+    p.add_argument("--zipf-s", type=float, default=1.2, metavar="S",
                    help="stationary frequency skew, 0 = uniform (default: 1.2)")
     p.add_argument("--labels", metavar="PATH", help="write per-epoch labels here")
     p.add_argument("--inject-epochs", metavar="E1,E2,...",
                    help="comma-separated epoch indices to corrupt")
-    p.add_argument("--inject-mode", choices=synth.INJECTION_MODES,
+    # As for --granularity, InjectionSpec rejects a bad value from a config file.
+    p.add_argument("--inject-mode", choices=synth.INJECTION_MODES, default="novel_names",
                    help="corruption mode (default: novel_names)")
-    p.add_argument("--intensity", type=float, metavar="F",
+    p.add_argument("--intensity", type=float, default=0.5, metavar="F",
                    help="fraction of each target epoch replaced (default: 0.5)")
-    p.add_argument("--epoch-size", type=int, metavar="S",
+    p.add_argument("--epoch-size", type=int, default=5000, metavar="S",
                    help="epoch size for labels/injection (default: 5000)")
-    p.add_argument("--config", metavar="PATH",
-                   help=f"key=value config file; ${CONFIG_ENV_VAR} names a default (flags win)")
 
-    return parser
+    return parser, sub.choices
 
 
 def _cmd_ingest(args) -> int:
@@ -205,8 +155,12 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    settings = _Settings(args)
-    config = settings.pipeline_config()
+    config = Config(
+        window_size=args.window,
+        epoch_size=args.epoch_size,
+        train_threshold=args.train_threshold,
+        detect_threshold_fraction=args.detect_fraction,
+    )
     trace = trace_ingest.read_trace_file(args.trace)
     counts = trace_ingest.read_count_file(args.counts) if args.counts else None
     model = trainer.train(trace, counts=counts, config=config)
@@ -223,25 +177,20 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    settings = _Settings(args)
-    model = trainer.load_model(args.model)
     frac = args.detect_fraction
-    if frac is None and settings.has_file_value("detect-fraction"):
-        frac = settings.get("detect-fraction", float)
     if frac is not None and not 0.0 < frac <= 1.0:
         raise CliError("detect_fraction: must be in (0, 1]")
-    jobs = settings.get("jobs", int)
+    if args.jobs < 1:
+        raise CliError("jobs: must be a positive integer")
     if args.report and len(args.traces) > 1:
         raise CliError("report: --report accepts a single input trace")
+    model = trainer.load_model(args.model)
 
     def scan(path: str) -> detector.DetectionReport:
         return detector.detect(model, trace_ingest.read_trace_file(path), frac)
 
-    if jobs > 1 and len(args.traces) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(scan, args.traces))
-    else:
-        reports = [scan(p) for p in args.traces]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        reports = list(pool.map(scan, args.traces))
 
     empty = False
     for path, report in zip(args.traces, reports):
@@ -263,8 +212,6 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    settings = _Settings(args)
-    granularity = settings.get("granularity")
     if len(args.report) != len(args.labels):
         raise CliError("labels: need exactly one label file per report")
     reports = {}
@@ -274,35 +221,27 @@ def _cmd_eval(args) -> int:
         reports[trace_id] = detector.read_report_file(rpath)
         pairs.append((trace_id, evaluator.read_labels(lpath)))
     corpus = evaluator.LabeledCorpus.from_pairs(pairs)
-    metrics = evaluator.compute_metrics(reports, corpus, granularity)
+    metrics = evaluator.compute_metrics(reports, corpus, args.granularity)
     print(evaluator.format_metrics(metrics), end="")
     return 0
 
 
 def _cmd_gen(args) -> int:
-    settings = _Settings(args)
-    seed = settings.get("seed", int)
-    spec = synth.make_source(
-        n_names=settings.get("alphabet-size", int),
-        zipf_s=settings.get("zipf-s", float),
-        seed=seed,
-    )
-    epoch_size = settings.get("epoch-size", int)
+    spec = synth.make_source(n_names=args.alphabet_size, zipf_s=args.zipf_s, seed=args.seed)
     if args.inject_epochs:
         try:
             targets = frozenset(int(tok) for tok in args.inject_epochs.split(","))
         except ValueError:
             raise CliError(f"inject-epochs: expected comma-separated integers, got {args.inject_epochs!r}") from None
-        inj = synth.InjectionSpec(targets, settings.get("inject-mode"),
-                                  settings.get("intensity", float))
-        trace, labels = synth.gen_anomalous(spec, args.calls, inj, epoch_size)
+        inj = synth.InjectionSpec(targets, args.inject_mode, args.intensity)
+        trace, labels = synth.gen_anomalous(spec, args.calls, inj, args.epoch_size)
     else:
         trace = synth.gen_normal(spec, args.calls)
         labels = None
         if args.labels:
-            if args.calls % epoch_size:
+            if args.calls % args.epoch_size:
                 raise CliError("calls: must be a multiple of epoch-size when labels are requested")
-            labels = ["normal"] * (args.calls // epoch_size)
+            labels = ["normal"] * (args.calls // args.epoch_size)
     trace_ingest.write_trace_file(trace, args.out)
     print(f"{trace.source_meta}")
     print(f"trace: {args.out}")
@@ -324,17 +263,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
+        path = "config" in args and (args.config or os.environ.get(CONFIG_ENV_VAR))
+        if path:
+            # The file's values become the chosen subcommand's defaults, so
+            # flags still win and argparse converts them like flag values.
+            commands[args.command].set_defaults(**_load_config_file(path))
+            args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as e:
         return int(e.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
-    except (CliError, ValueError, trainer.ModelFormatError) as e:
-        print(f"boscids {args.command}: error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (CliError, ValueError, OSError) as e:
         print(f"boscids {args.command}: error: {e}", file=sys.stderr)
         return 1
 

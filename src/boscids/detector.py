@@ -101,13 +101,18 @@ def format_report(report: DetectionReport) -> str:
         for v in report.verdicts
     ]
     t = report.totals
-    rows.append(
+    total = (
         "total epochs={epochs} windows={windows} mismatches={mismatches} "
         "anomalous_epochs={anomalous_epochs} trace_anomalous={flag}".format(
             flag=int(report.trace_anomalous), **{k: t[k] for k in
             ("epochs", "windows", "mismatches", "anomalous_epochs")}
         )
     )
+    # Only a trace that ends in a partial window carries the field, so reports
+    # of whole-epoch traces keep the bytes they had before it existed.
+    if t["dropped_tail_calls"]:
+        total += f" dropped_tail_calls={t['dropped_tail_calls']}"
+    rows.append(total)
     return "\n".join(rows) + "\n"
 
 
@@ -119,9 +124,12 @@ def read_report_file(path) -> DetectionReport:
     p = Path(path)
     verdicts = []
     saw_total = False
+    dropped = 0
     for i, line in enumerate(p.read_text(encoding="ascii").splitlines(), start=1):
         if line.startswith("total "):
             saw_total = True
+            _, sep, tail = line.rpartition(" dropped_tail_calls=")
+            dropped = int(tail) if sep else 0
             continue
         parts = line.split()
         if len(parts) != 5:
@@ -132,5 +140,4 @@ def read_report_file(path) -> DetectionReport:
         )
     if not saw_total:
         raise ValueError(f"{p}: missing summary line")
-    # The report format does not carry the dropped tail.
-    return _report_of(verdicts, 0)
+    return _report_of(verdicts, dropped)

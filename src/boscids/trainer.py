@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bosc import CHUNK, Bags, BehaviorDb, ChangeVector, Config, unique_window_bags
+from .bosc import CHUNK, Bags, BehaviorDb, Config, unique_window_bags
 from .catalog import OTHER_NAME, SyscallIndex, build_index, is_slot_stream, slot_stream
 from .trace_ingest import SYSCALL_NAME_RE, CountTable, count_table
 
@@ -53,8 +53,8 @@ def cosine_similarity(a, b) -> float:
     stationary epochs (1.0); exactly one zero means change appeared from
     nothing (0.0).
     """
-    va = np.asarray(a.deltas if isinstance(a, ChangeVector) else a, dtype=np.float64)
-    vb = np.asarray(b.deltas if isinstance(b, ChangeVector) else b, dtype=np.float64)
+    va = np.asarray(a, dtype=np.float64)
+    vb = np.asarray(b, dtype=np.float64)
     if vb.shape[0] > va.shape[0]:
         raise ValueError("earlier change vector is longer than the later one")
     if vb.shape[0] < va.shape[0]:
@@ -97,7 +97,7 @@ def train(trace, counts: CountTable | None = None, config: Config | None = None)
 
     db = BehaviorDb()
     history: list[SimilarityRecord] = []
-    change_prev: ChangeVector | None = None
+    change_prev: np.ndarray | None = None
     prev_cos: float | None = None
     converged = False
     trained = 0
@@ -189,12 +189,15 @@ def load_model(path) -> TrainedModel:
     )
     if m is None:
         raise ModelFormatError("params", f"bad parameter line {params!r}")
-    config = Config(
-        window_size=int(m.group(1)),
-        epoch_size=int(m.group(2)),
-        train_threshold=float(m.group(3)),
-        detect_threshold_fraction=float(m.group(4)),
-    )
+    try:
+        config = Config(
+            window_size=int(m.group(1)),
+            epoch_size=int(m.group(2)),
+            train_threshold=float(m.group(3)),
+            detect_threshold_fraction=float(m.group(4)),
+        )
+    except ValueError as e:
+        raise ModelFormatError("params", str(e)) from None
 
     sizes = rd.next("index")
     m = re.fullmatch(r"ns=(\d+) retained=(\d+)", sizes)

@@ -139,15 +139,15 @@ def window_bags(epoch, w, n_s):
 
 def test_db_diff_growth_from_empty():
     db = BehaviorDb()
-    assert db.insert_many(Bags.from_counts([(1, 1)]), [3]).deltas.tolist() == [3]
+    assert db.insert_many(Bags.from_counts([(1, 1)]), [3]).tolist() == [3]
 
 
 def test_db_diff_componentwise():
     db = BehaviorDb()
     db.insert_many(Bags.from_counts([(1, 0)]), [3])
     change = db.insert_many(Bags.from_counts([(1, 0), (0, 1)]), [2, 1])
-    assert change.deltas.tolist() == [2, 1]
-    assert change.n_k == 2
+    assert change.tolist() == [2, 1]
+    assert len(change) == 2
 
 
 def test_db_diff_known_bags_only():
@@ -159,9 +159,9 @@ def test_db_diff_known_bags_only():
     for window in epoch_windows(epoch, 4):
         db.insert(bag_of(window, 3))
     change = db.insert_many(window_bags(epoch, 4, 3), [1] * 97)
-    assert change.n_k == len(db)
-    assert int(change.deltas.sum()) == 97
-    assert all(d > 0 for d in change.deltas.tolist())
+    assert len(change) == len(db)
+    assert int(change.sum()) == 97
+    assert all(d > 0 for d in change.tolist())
 
 
 def test_change_vector_sums_to_windows_per_epoch():
@@ -171,7 +171,7 @@ def test_change_vector_sums_to_windows_per_epoch():
     for _ in range(4):
         epoch = [rng.randrange(n_s) for _ in range(50)]
         change = db.insert_many(window_bags(epoch, w, n_s), [1] * (50 - w + 1))
-        assert int(change.deltas.sum()) == 50 - w + 1
+        assert int(change.sum()) == 50 - w + 1
 
 
 def test_change_vector_equals_frequency_difference():
@@ -187,7 +187,7 @@ def test_change_vector_equals_frequency_difference():
             freq[bag] = freq.get(bag, 0) + 1
         change = db.insert_many(window_bags(epoch, 3, 4), [1] * 28)
         assert db.insertion_order == list(freq)
-        assert change.deltas.tolist() == [f - before.get(b, 0) for b, f in freq.items()]
+        assert change.tolist() == [f - before.get(b, 0) for b, f in freq.items()]
 
 
 def test_db_rejects_bags_of_another_shape():

@@ -262,3 +262,89 @@ def test_detect_multiple_traces_with_jobs(tmp_path, capsys):
                        "--model", str(model), "--jobs", "2")
     assert code == 2
     assert str(trace) in out and str(bad) in out
+
+
+def ab_model_and_bad_trace(tmp_path, capsys, *train_flags):
+    trace = tmp_path / "ab.trace"
+    write_ab_trace(trace)
+    model = tmp_path / "ab.model"
+    run(capsys, "train", str(trace), "--model", str(model),
+        "--epoch-size", "4", "--window", "2", *train_flags)
+    bad = tmp_path / "bad.trace"
+    bad.write_text("b\nb\nb\nb\n")  # 3 unknown windows of 3
+    return model, bad
+
+
+def test_detect_fraction_from_config_file(tmp_path, capsys):
+    model, bad = ab_model_and_bad_trace(tmp_path, capsys)
+    cfg = tmp_path / "loose.conf"
+    cfg.write_text("detect-fraction=1.0\n")
+    code, _, _ = run(capsys, "detect", str(bad), "--model", str(model), "--config", str(cfg))
+    assert code == 0
+    code, _, _ = run(capsys, "detect", str(bad), "--model", str(model), "--config", str(cfg),
+                     "--detect-fraction", "0.10")
+    assert code == 2  # the flag beats the file
+
+
+def test_detect_fraction_defaults_to_the_models_own(tmp_path, capsys):
+    model, bad = ab_model_and_bad_trace(tmp_path, capsys, "--detect-fraction", "1.0")
+    code, out, _ = run(capsys, "detect", str(bad), "--model", str(model))
+    assert code == 0
+    assert " 4.0 0\n" in out  # threshold 1.0 * 4 calls, not the built-in 0.10
+
+
+def test_invalid_config_values_exit_1_naming_the_flag(tmp_path, capsys):
+    trace = tmp_path / "ab.trace"
+    write_ab_trace(trace)
+    cases = [
+        ("train", ["train", str(trace), "--model", str(tmp_path / "m")], "window=two\n", "window"),
+        ("gen", ["gen", "--calls", "100", "--out", str(tmp_path / "g.trace")], "zipf-s=steep\n", "zipf"),
+        ("gen", ["gen", "--calls", "10000", "--out", str(tmp_path / "g.trace"), "--epoch-size", "500",
+                 "--inject-epochs", "1"], "inject-mode=sideways\n", "mode"),
+    ]
+    for name, argv, text, needle in cases:
+        cfg = tmp_path / f"{name}.conf"
+        cfg.write_text(text)
+        code, _, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 1, text
+        assert needle in err, err
+
+
+def test_invalid_config_granularity_exits_1(tmp_path, capsys):
+    report = tmp_path / "r.report"
+    report.write_text("0 10 0 1.0 0\ntotal epochs=1\n")
+    labels = tmp_path / "r.labels"
+    labels.write_text("0\tnormal\n")
+    cfg = tmp_path / "bad.conf"
+    cfg.write_text("granularity=hourly\n")
+    code, _, err = run(capsys, "eval", "--report", str(report), "--labels", str(labels),
+                       "--config", str(cfg))
+    assert code == 1
+    assert "granularity" in err
+
+
+def test_config_key_of_another_subcommand_is_ignored(tmp_path, capsys):
+    trace = tmp_path / "ab.trace"
+    write_ab_trace(trace)
+    cfg = tmp_path / "mixed.conf"
+    cfg.write_text("epoch-size=4\nwindow=2\nseed=5\njobs=3\ngranularity=window\n")
+    code, out, _ = run(capsys, "train", str(trace), "--model", str(tmp_path / "m"),
+                       "--config", str(cfg))
+    assert code == 0
+    assert "converged after 3 epochs" in out
+
+
+def test_ingest_ignores_broken_config_env(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "broken.conf"
+    cfg.write_text("no equals sign here\nbogus=1\n")
+    monkeypatch.setenv("BOSCIDS_CONFIG", str(cfg))
+    code, _, _ = run(capsys, "ingest", str(FIXTURES / "mixed.strace"),
+                     "--trace-out", str(tmp_path / "t"), "--count-out", str(tmp_path / "c"))
+    assert code == 0
+
+
+def test_detect_jobs_must_be_positive(tmp_path, capsys):
+    model, bad = ab_model_and_bad_trace(tmp_path, capsys)
+    code, _, err = run(capsys, "detect", str(bad), str(bad), "--model", str(model), "--jobs", "0")
+    assert code == 1
+    assert "jobs" in err

@@ -182,12 +182,18 @@ def test_detect_threshold_fraction_override():
 
 def test_report_round_trip(tmp_path):
     model = tiny_model([(1, 1, 0)], S=4)
-    report = detect(model, RawTrace(["a", "b"] * 4 + ["b"] * 4))
     path = tmp_path / "r.report"
-    write_report_file(report, path)
-    loaded = read_report_file(path)
-    assert loaded.verdicts == report.verdicts
-    assert loaded.trace_anomalous == report.trace_anomalous
+    # whole epochs, then a 1-call tail shorter than w=2
+    for calls, dropped in ((["a", "b"] * 4 + ["b"] * 4, 0), (["a", "b", "a", "b", "a"], 1)):
+        report = detect(model, RawTrace(calls))
+        write_report_file(report, path)
+        loaded = read_report_file(path)
+        assert loaded.verdicts == report.verdicts
+        assert loaded.trace_anomalous == report.trace_anomalous
+        assert loaded.totals == report.totals
+        assert loaded.totals["dropped_tail_calls"] == dropped
+        assert format_report(loaded) == path.read_text()
+        assert ("dropped_tail_calls" in path.read_text()) == bool(dropped)
 
 
 def test_format_report_rows():

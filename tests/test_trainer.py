@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from boscids.bosc import ChangeVector, Config
+from boscids.bosc import Config
 from boscids.trace_ingest import RawTrace, count_table
 from boscids.trainer import (
     ModelFormatError,
@@ -21,7 +21,7 @@ logging.getLogger("boscids").setLevel(logging.ERROR)
 
 
 def cv(values):
-    return ChangeVector(np.array(values, dtype=np.int64))
+    return np.array(values, dtype=np.int64)
 
 
 def test_cosine_identical_vectors():
@@ -256,3 +256,14 @@ def test_load_rejects_inflated_entry_count(tmp_path):
     with pytest.raises(ModelFormatError) as exc:
         load_model(p)
     assert exc.value.section == "entries"
+
+
+def test_load_rejects_params_that_fail_config(tmp_path):
+    p = tmp_path / "m.model"
+    for old, new, needle in ((b"\nw=2 ", b"\nw=0 ", "window_size"),
+                             (b" Tt=0.99 ", b" Tt=1.5 ", "train_threshold")):
+        save_model(model_fixture(), p)
+        reseal(p, old, new)
+        with pytest.raises(ModelFormatError, match=needle) as exc:
+            load_model(p)
+        assert exc.value.section == "params"
