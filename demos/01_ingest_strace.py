@@ -50,8 +50,9 @@ for name, count in table:
     print(f"  {name:12s} {count}")
 
 index = build_index(table)
-print(f"\n= slot index: t_o={index.t_o} (names rarer than that fold into OTHER)")
+# the rarity threshold T_o is the number of distinct names
+print(f"\n= slot index: t_o={len(table)} (names rarer than that fold into OTHER)")
 print(f"  retained slots: {list(index.slots)}")
-print(f"  n_s = {index.n_s} (retained {index.retained} + the OTHER slot)")
+print(f"  n_s = {index.n_s} (retained {len(index.slots)} + the OTHER slot)")
 print(f"  resolve('read') = {index.resolve('read')}")
 print(f"  resolve('ptrace') = {index.resolve('ptrace')}  <- never seen, goes to OTHER")

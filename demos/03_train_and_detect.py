@@ -29,8 +29,8 @@ model = train(normal, config=config)
 status = "converged" if model.converged else "ran out of data"
 print(f"  {status} after {model.epochs_trained} epochs; "
       f"db {len(model.db)} bags over {model.index.n_s} slots")
-for rec in model.history[:3]:
-    print(f"  epoch {rec.k}: cos={rec.cos_theta:.6f}")
+for k, cos in enumerate(model.history[:3], start=2):
+    print(f"  epoch {k}: cos={cos:.6f}")
 print("  ...")
 
 print("\n= scanning 30 fresh epochs, 4 of them under attack")

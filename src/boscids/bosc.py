@@ -7,7 +7,7 @@ np.void of 4*w bytes. Equal bags have equal keys, and ascending byte order of
 keys is ascending lexicographic order of the count vectors, so keys sort,
 unique and search without ever being decoded. Keys are exact for every
 n_s < 2**32 and every w. Count vectors appear only at the edges: the model
-file and the tuple-facing BehaviorDb methods.
+file, which BehaviorDb.items() feeds, and the pure bag_of reference.
 """
 
 import logging
@@ -150,35 +150,11 @@ class BehaviorDb:
     def __len__(self) -> int:
         return int(self._freq.shape[0])
 
-    def __contains__(self, bag) -> bool:
-        return self._position(bag) >= 0
-
-    def frequency(self, bag) -> int:
-        pos = self._position(bag)
-        return int(self._freq[pos]) if pos >= 0 else 0
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    @property
-    def insertion_order(self) -> list[BoSC]:
-        return [bag for bag, _ in self.items()]
-
     def items(self) -> Iterator[tuple[BoSC, int]]:
         """(count tuple, frequency) pairs in insertion order."""
         for lo in range(0, len(self), CHUNK):
             rows = Bags(self._keys[lo : lo + CHUNK], self._n_s).counts().tolist()
             yield from zip(map(tuple, rows), self._freq[lo : lo + CHUNK].tolist())
-
-    def total_frequency(self) -> int:
-        return int(self._freq.sum())
-
-    def _position(self, bag) -> int:
-        try:
-            return int(self.positions(Bags.from_counts([tuple(bag)]))[0])
-        except ValueError:  # not a bag at all, so not in the db
-            return -1
 
     def positions(self, bags: Bags) -> np.ndarray:
         """Each bag's insertion position, or -1 where the db lacks it."""
@@ -190,12 +166,6 @@ class BehaviorDb:
         hit = self._sorted[at] == bags.keys
         pos[hit] = self._sorted_pos[at[hit]]
         return pos
-
-    def insert(self, bag) -> int:
-        """Increment the bag's frequency (new bags start at 1); returns the
-        new frequency."""
-        self.insert_many(Bags.from_counts([tuple(bag)]), [1])
-        return self.frequency(bag)
 
     def insert_many(self, bags: Bags, multiplicities) -> np.ndarray:
         """Add each bag's multiplicity to its frequency and return the change

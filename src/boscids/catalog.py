@@ -14,29 +14,18 @@ OTHER_NAME = "other"
 class SyscallIndex:
     """Frozen mapping from syscall name to bag slot.
 
-    Retained (frequent) names occupy slots 0..retained-1 in count-table
+    Retained (frequent) names occupy slots 0..len(slots)-1 in count-table
     order; everything else, including names never seen in training, resolves
-    to the reserved final OTHER slot.
+    to the reserved final OTHER slot, len(slots).
     """
 
     slots: tuple[str, ...]
-    t_o: int
 
     def __post_init__(self):
         if len(set(self.slots)) != len(self.slots):
             raise ValueError("slot names must be unique")
         if OTHER_NAME in self.slots:
             raise ValueError(f"{OTHER_NAME!r} is reserved for the fallback slot")
-        if self.t_o < 0:
-            raise ValueError("t_o must be non-negative")
-
-    @property
-    def other_slot(self) -> int:
-        return len(self.slots)
-
-    @property
-    def retained(self) -> int:
-        return len(self.slots)
 
     @property
     def n_s(self) -> int:
@@ -68,7 +57,7 @@ def build_index(counts: CountTable) -> SyscallIndex:
     slots = tuple(
         name for name, count in counts.entries if count >= t_o and name != OTHER_NAME
     )
-    return SyscallIndex(slots, t_o)
+    return SyscallIndex(slots)
 
 
 def is_slot_stream(trace) -> bool:

@@ -164,13 +164,13 @@ def _cmd_train(args) -> int:
     trace = trace_ingest.read_trace_file(args.trace)
     counts = trace_ingest.read_count_file(args.counts) if args.counts else None
     model = trainer.train(trace, counts=counts, config=config)
-    for rec in model.history:
-        print(f"epoch {rec.k} cos={rec.cos_theta:.9f}")
+    for k, cos in enumerate(model.history, start=2):
+        print(f"epoch {k} cos={cos:.9f}")
     trainer.save_model(model, args.model)
     status = "converged" if model.converged else "did NOT converge"
     print(
         f"{status} after {model.epochs_trained} epochs; "
-        f"db entries={len(model.db)} retained={model.index.retained} ns={model.index.n_s}"
+        f"db entries={len(model.db)} retained={len(model.index.slots)} ns={model.index.n_s}"
     )
     print(f"model: {args.model}")
     return 0 if model.converged else 3

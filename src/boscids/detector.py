@@ -21,7 +21,6 @@ class EpochVerdict:
     mismatches: int
     threshold_used: float
     anomalous: bool
-    warning: str | None = None
 
 
 @dataclass
@@ -38,22 +37,17 @@ def scan_epoch(model: TrainedModel, epoch, epoch_index: int = 0,
 
     The threshold scales with the epoch's actual length, so partial final
     epochs are judged proportionally. Comparison is strict: exactly hitting
-    the threshold is still normal. Never mutates the model.
+    the threshold is still normal. An epoch shorter than the window has no
+    windows and so no mismatches. Never mutates the model.
     """
     frac = model.config.detect_threshold_fraction if threshold_fraction is None else threshold_fraction
     w = model.config.window_size
     slots = np.asarray(epoch, dtype=np.int64)
     n = int(slots.shape[0])
     threshold = frac * n
-    if n < w:
-        return EpochVerdict(
-            epoch_index, 0, 0, threshold, False,
-            warning=f"epoch of {n} calls is shorter than window {w}; skipped",
-        )
     bags, mult = unique_window_bags(slots, w, model.index.n_s)
     mismatches = int(mult[model.db.positions(bags) < 0].sum())
-    n_windows = n - w + 1
-    return EpochVerdict(epoch_index, n_windows, mismatches, threshold, mismatches > threshold)
+    return EpochVerdict(epoch_index, max(n - w + 1, 0), mismatches, threshold, mismatches > threshold)
 
 
 def detect(model: TrainedModel, trace, threshold_fraction: float | None = None) -> DetectionReport:
@@ -121,23 +115,33 @@ def write_report_file(report: DetectionReport, path) -> None:
 
 
 def read_report_file(path) -> DetectionReport:
+    """Read a report written by write_report_file. Each row must hold five
+    numbers with a 0/1 flag; the summary must be the last line, and each
+    total it states must equal the one recomputed from the rows."""
     p = Path(path)
+    lines = p.read_text(encoding="ascii").splitlines()
+    if not lines or not lines[-1].startswith("total "):
+        raise ValueError(f"{p}: missing summary line")
     verdicts = []
-    saw_total = False
-    dropped = 0
-    for i, line in enumerate(p.read_text(encoding="ascii").splitlines(), start=1):
-        if line.startswith("total "):
-            saw_total = True
-            _, sep, tail = line.rpartition(" dropped_tail_calls=")
-            dropped = int(tail) if sep else 0
-            continue
+    for i, line in enumerate(lines[:-1], start=1):
         parts = line.split()
         if len(parts) != 5:
             raise ValueError(f"{p}: line {i}: expected 5 fields, got {len(parts)}")
         idx, windows, mism, thr, flag = parts
-        verdicts.append(
-            EpochVerdict(int(idx), int(windows), int(mism), float(thr), flag == "1")
-        )
-    if not saw_total:
-        raise ValueError(f"{p}: missing summary line")
-    return _report_of(verdicts, dropped)
+        if flag not in ("0", "1"):
+            raise ValueError(f"{p}: line {i}: anomalous flag must be 0 or 1, got {flag!r}")
+        try:
+            verdicts.append(EpochVerdict(int(idx), int(windows), int(mism), float(thr), flag == "1"))
+        except ValueError:
+            raise ValueError(f"{p}: line {i}: bad number in {line!r}") from None
+    n = len(lines)
+    stated = dict(field.partition("=")[::2] for field in lines[-1].split()[1:])
+    dropped = stated.get("dropped_tail_calls", "0")
+    if not dropped.isdigit():
+        raise ValueError(f"{p}: line {n}: bad dropped_tail_calls {dropped!r}")
+    report = _report_of(verdicts, int(dropped))
+    recomputed = dict(report.totals, trace_anomalous=int(report.trace_anomalous))
+    for key, value in stated.items():
+        if key in recomputed and value != str(recomputed[key]):
+            raise ValueError(f"{p}: line {n}: summary says {key}={value}, the rows give {recomputed[key]}")
+    return report

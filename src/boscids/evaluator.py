@@ -118,8 +118,8 @@ def read_labels(path) -> tuple[str, ...]:
         if len(parts) != 2:
             raise ValueError(f"{p}: line {i + 1}: expected `epoch_index<TAB>label`")
         idx, lab = parts
-        if int(idx) != i:
-            raise ValueError(f"{p}: line {i + 1}: epoch index {idx} out of order")
+        if idx != str(i):
+            raise ValueError(f"{p}: line {i + 1}: epoch index {idx!r} out of order, expected {i}")
         if lab not in (LABEL_NORMAL, LABEL_MALICIOUS):
             raise ValueError(f"{p}: line {i + 1}: unknown label {lab!r}")
         labels.append(lab)

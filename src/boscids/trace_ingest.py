@@ -54,6 +54,10 @@ class CountTable:
     def total(self) -> int:
         return sum(c for _, c in self.entries)
 
+    @classmethod
+    def from_counts(cls, counts: dict[str, int]) -> "CountTable":
+        return cls(tuple(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))))
+
 
 def parse_line(line: str) -> RawTraceLine:
     """Classify one tracer line and pull out the syscall name if it has one.
@@ -113,9 +117,7 @@ def ingest_file(path) -> RawTrace:
 
 def count_table(trace: RawTrace | Iterable[str]) -> CountTable:
     calls = trace.calls if isinstance(trace, RawTrace) else trace
-    counts = Counter(calls)
-    entries = tuple(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
-    return CountTable(entries)
+    return CountTable.from_counts(Counter(calls))
 
 
 def write_trace_file(trace: RawTrace, path) -> None:
@@ -153,9 +155,11 @@ def read_count_file(path) -> CountTable:
             name, raw = parts
             if name in counts:
                 raise ValueError(f"{p}: line {i}: duplicate name {name!r}")
-            count = int(raw)
+            try:
+                count = int(raw)
+            except ValueError:
+                raise ValueError(f"{p}: line {i}: count {raw!r} is not an integer") from None
             if count < 1:
                 raise ValueError(f"{p}: line {i}: count must be positive")
             counts[name] = count
-    entries = tuple(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
-    return CountTable(entries)
+    return CountTable.from_counts(counts)

@@ -19,22 +19,24 @@ log = logging.getLogger(__name__)
 MODEL_HEADER = "boscids-model v1"
 
 
-@dataclass(frozen=True)
-class SimilarityRecord:
-    """Cosine similarity between epoch k's change vector and epoch k-1's."""
-
-    k: int
-    cos_theta: float
-
-
 @dataclass
 class TrainedModel:
+    """A slot index, its frozen db, and the training history: history[k-2] is
+    the cosine similarity between epoch k's change vector and epoch k-1's."""
+
     index: SyscallIndex
     db: BehaviorDb
     config: Config
-    history: list[SimilarityRecord]
-    epochs_trained: int
-    converged: bool
+    history: list[float]
+
+    @property
+    def epochs_trained(self) -> int:
+        return len(self.history) + 1
+
+    @property
+    def converged(self) -> bool:
+        """The stopping rule: the last two similarities reach the threshold."""
+        return len(self.history) >= 2 and min(self.history[-2:]) >= self.config.train_threshold
 
 
 class ModelFormatError(ValueError):
@@ -95,29 +97,20 @@ def train(trace, counts: CountTable | None = None, config: Config | None = None)
     if len(slots) % S:
         log.info("discarding trailing partial epoch of %d calls", len(slots) % S)
 
-    db = BehaviorDb()
-    history: list[SimilarityRecord] = []
+    model = TrainedModel(index, BehaviorDb(), config, [])
     change_prev: np.ndarray | None = None
-    prev_cos: float | None = None
-    converged = False
-    trained = 0
-    for k in range(1, n_epochs + 1):
-        bags, mult = unique_window_bags(slots[(k - 1) * S : k * S], w, index.n_s)
-        change = db.insert_many(bags, mult)
-        trained = k
-        if k > 1:
-            cos = cosine_similarity(change, change_prev)
-            history.append(SimilarityRecord(k, cos))
-            if prev_cos is not None and cos >= config.train_threshold and prev_cos >= config.train_threshold:
-                converged = True
-            prev_cos = cos
+    for e in range(n_epochs):
+        bags, mult = unique_window_bags(slots[e * S : (e + 1) * S], w, index.n_s)
+        change = model.db.insert_many(bags, mult)
+        if change_prev is not None:
+            model.history.append(cosine_similarity(change, change_prev))
+            if model.converged:
+                break
         change_prev = change
-        if converged:
-            break
-    db.freeze()
-    if not converged:
-        log.warning("training did not converge after %d epochs", trained)
-    return TrainedModel(index, db, config, history, trained, converged)
+    model.db.freeze()
+    if not model.converged:
+        log.warning("training did not converge after %d epochs", model.epochs_trained)
+    return model
 
 
 def save_model(model: TrainedModel, path) -> None:
@@ -126,7 +119,7 @@ def save_model(model: TrainedModel, path) -> None:
     lines = [
         MODEL_HEADER,
         f"w={c.window_size} S={c.epoch_size} Tt={c.train_threshold!r} TdFrac={c.detect_threshold_fraction!r}",
-        f"ns={model.index.n_s} retained={model.index.retained}",
+        f"ns={model.index.n_s} retained={len(model.index.slots)}",
     ]
     lines.extend(model.index.slots)
     lines.append("@" + OTHER_NAME)
@@ -134,8 +127,8 @@ def save_model(model: TrainedModel, path) -> None:
     for bag, freq in model.db.items():
         lines.append(" ".join(map(str, bag)) + " : " + str(freq))
     lines.append(f"history={len(model.history)}")
-    for rec in model.history:
-        lines.append(f"{rec.k} {rec.cos_theta:.9f}")
+    for k, cos in enumerate(model.history, start=2):
+        lines.append(f"{k} {cos:.9f}")
     blob = ("\n".join(lines) + "\n").encode("ascii")
     crc = zlib.crc32(blob) & 0xFFFFFFFF
     Path(path).write_bytes(blob + f"crc32={crc:08x}\n".encode("ascii"))
@@ -177,7 +170,10 @@ def load_model(path) -> TrainedModel:
     if zlib.crc32(data[:marker]) & 0xFFFFFFFF != declared:
         raise ModelFormatError("checksum", "crc32 mismatch; file corrupted")
 
-    body = data[:marker].decode("ascii").split("\n")
+    try:
+        body = data[:marker].decode("ascii").split("\n")
+    except UnicodeDecodeError as e:
+        raise ModelFormatError("structure", f"non-ASCII byte at offset {e.start}") from None
     if body and body[-1] == "":
         body.pop()
     rd = _LineReader(body)
@@ -215,9 +211,7 @@ def load_model(path) -> TrainedModel:
     sentinel = rd.next("index")
     if sentinel != "@" + OTHER_NAME:
         raise ModelFormatError("index", f"missing @{OTHER_NAME} sentinel, got {sentinel!r}")
-    # The rarity threshold is a training-time statistic the format does not
-    # carry; 0 marks it unknown on loaded models.
-    index = SyscallIndex(tuple(slots), 0)
+    index = SyscallIndex(tuple(slots))
 
     header = rd.next("entries")
     m = re.fullmatch(r"entries=(\d+)", header)
@@ -267,19 +261,12 @@ def load_model(path) -> TrainedModel:
         line = rd.next("history")
         try:
             k_str, cos_str = line.split()
-            history.append(SimilarityRecord(int(k_str), float(cos_str)))
+            k, cos = int(k_str), float(cos_str)
         except ValueError:
             raise ModelFormatError("history", f"record {i}: unparseable {line!r}") from None
+        if k != i + 2:
+            raise ModelFormatError("history", f"record {i}: epoch {k}, expected {i + 2}")
+        history.append(cos)
     if not rd.exhausted():
         raise ModelFormatError("structure", "unexpected trailing content before checksum")
-
-    epochs_trained = len(history) + 1
-    thr = config.train_threshold
-    # Training stops exactly when the last two similarities clear the
-    # threshold, so convergence is reconstructible from the history tail.
-    converged = (
-        len(history) >= 2
-        and history[-1].cos_theta >= thr
-        and history[-2].cos_theta >= thr
-    )
-    return TrainedModel(index, db, config, history, epochs_trained, converged)
+    return TrainedModel(index, db, config, history)

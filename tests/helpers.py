@@ -2,12 +2,22 @@
 
 Everything here recounts from scratch, with plain Python loops or with
 count-matrix rows; none of it shares code with the bag-key paths under test.
+The one exception, insert_counts, is a fixture builder, not an oracle.
 """
 
 import math
 from collections import Counter
 
 import numpy as np
+
+from boscids.bosc import Bags
+
+
+def insert_counts(db, bags, multiplicities=None):
+    """Insert count-tuple bags into a BehaviorDb (each once by default) and
+    return the change vector."""
+    mult = [1] * len(bags) if multiplicities is None else multiplicities
+    return db.insert_many(Bags.from_counts(bags), mult)
 
 
 def brute_force_bag(window, n_s):

@@ -15,7 +15,13 @@ from boscids.bosc import (
     epoch_windows,
     unique_window_bags,
 )
-from helpers import brute_force_db, brute_force_epoch_bags, epoch_bag_matrix, unique_bags
+from helpers import (
+    brute_force_db,
+    brute_force_epoch_bags,
+    epoch_bag_matrix,
+    insert_counts,
+    unique_bags,
+)
 
 
 def test_config_defaults():
@@ -88,47 +94,51 @@ def test_bag_sums_to_window_size_randomized():
         assert sum(bag_of(window, n_s)) == w
 
 
+def bags_in_order(db):
+    return [bag for bag, _ in db.items()]
+
+
 def test_db_insert_new_and_increment():
     db = BehaviorDb()
-    assert db.insert((1, 1, 0)) == 1
+    assert insert_counts(db, [(1, 1, 0)]).tolist() == [1]
     assert len(db) == 1
-    assert db.insert((1, 1, 0)) == 2
+    assert insert_counts(db, [(1, 1, 0)]).tolist() == [1]
     assert len(db) == 1
-    assert db.frequency((1, 1, 0)) == 2
+    assert dict(db.items()) == {(1, 1, 0): 2}
 
 
 def test_db_insert_windows_of_abab():
     # trace a b a b, w=2, slots a=0,b=1: three windows, all the same bag
     db = BehaviorDb()
     epoch = [0, 1, 0, 1]
-    for window in epoch_windows(epoch, 2):
-        db.insert(bag_of(window, 2))
+    insert_counts(db, [bag_of(window, 2) for window in epoch_windows(epoch, 2)])
     assert dict(db.items()) == {(1, 1): 3}
 
 
 def test_db_contains():
     db = BehaviorDb()
-    assert (1, 0) not in db
-    db.insert((1, 0))
-    assert (1, 0) in db
-    db.insert((1, 0))
-    assert (1, 0) in db  # frequency does not affect membership
+    probe = Bags.from_counts([(1, 0)])
+    assert db.positions(probe).tolist() == [-1]
+    insert_counts(db, [(1, 0)])
+    assert db.positions(probe).tolist() == [0]
+    insert_counts(db, [(1, 0)])
+    assert db.positions(probe).tolist() == [0]  # frequency does not affect membership
 
 
 def test_db_insertion_order_is_first_insertion():
     db = BehaviorDb()
-    db.insert((0, 1))
-    db.insert((1, 0))
-    db.insert((0, 1))
-    assert db.insertion_order == [(0, 1), (1, 0)]
+    insert_counts(db, [(0, 1)])
+    insert_counts(db, [(1, 0)])
+    insert_counts(db, [(0, 1)])
+    assert bags_in_order(db) == [(0, 1), (1, 0)]
 
 
 def test_db_freeze_blocks_writes():
     db = BehaviorDb()
-    db.insert((1,))
+    insert_counts(db, [(1,)])
     db.freeze()
     with pytest.raises(FrozenDbError):
-        db.insert((1,))
+        insert_counts(db, [(1,)])
     with pytest.raises(FrozenDbError):
         db.insert_many([(2,)], [1])
 
@@ -156,8 +166,7 @@ def test_db_diff_known_bags_only():
     rng = random.Random(7)
     epoch = [rng.randrange(3) for _ in range(100)]
     db = BehaviorDb()
-    for window in epoch_windows(epoch, 4):
-        db.insert(bag_of(window, 3))
+    insert_counts(db, [bag_of(window, 3) for window in epoch_windows(epoch, 4)])
     change = db.insert_many(window_bags(epoch, 4, 3), [1] * 97)
     assert len(change) == len(db)
     assert int(change.sum()) == 97
@@ -186,18 +195,20 @@ def test_change_vector_equals_frequency_difference():
         for bag in brute_force_epoch_bags(epoch, 3, 4):
             freq[bag] = freq.get(bag, 0) + 1
         change = db.insert_many(window_bags(epoch, 3, 4), [1] * 28)
-        assert db.insertion_order == list(freq)
+        assert bags_in_order(db) == list(freq)
         assert change.tolist() == [f - before.get(b, 0) for b, f in freq.items()]
 
 
 def test_db_rejects_bags_of_another_shape():
     db = BehaviorDb()
-    db.insert((1, 1, 0))
+    insert_counts(db, [(1, 1, 0)])
     with pytest.raises(ValueError):
-        db.insert((1, 1))  # other n_s
+        insert_counts(db, [(1, 1)])  # other n_s
     with pytest.raises(ValueError):
-        db.insert((1, 2, 0))  # other w
-    assert (1, 1) not in db and db.frequency((3, 0, 0)) == 0
+        insert_counts(db, [(1, 2, 0)])  # other w
+    assert db.positions(Bags.from_counts([(1, 1)])).tolist() == [-1]
+    assert db.positions(Bags.from_counts([(3, 0, 0)])).tolist() == [-1]
+    assert dict(db.items()) == {(1, 1, 0): 1}
 
 
 def test_db_total_frequency_equals_windows_processed():
@@ -206,10 +217,10 @@ def test_db_total_frequency_equals_windows_processed():
     total_windows = 0
     for _ in range(5):
         epoch = [rng.randrange(4) for _ in range(60)]
-        for window in epoch_windows(epoch, 6):
-            db.insert(bag_of(window, 4))
-            total_windows += 1
-    assert db.total_frequency() == total_windows
+        windows = [bag_of(window, 4) for window in epoch_windows(epoch, 6)]
+        insert_counts(db, windows)
+        total_windows += len(windows)
+    assert sum(freq for _, freq in db.items()) == total_windows
 
 
 def test_db_size_monotone_across_epochs():
@@ -218,8 +229,7 @@ def test_db_size_monotone_across_epochs():
     last = 0
     for _ in range(6):
         epoch = [rng.randrange(5) for _ in range(80)]
-        for window in epoch_windows(epoch, 4):
-            db.insert(bag_of(window, 5))
+        insert_counts(db, [bag_of(window, 5) for window in epoch_windows(epoch, 4)])
         assert len(db) >= last
         last = len(db)
 

@@ -7,10 +7,12 @@ from boscids.trace_ingest import CountTable, RawTrace, count_table
 
 def test_build_index_drops_below_threshold():
     counts = CountTable((("read", 100), ("write", 80), ("futex", 2)))
-    index = build_index(counts)  # 3 distinct names -> t_o = 3
+    index = build_index(counts)  # 3 distinct names -> rarity threshold 3
     assert index.slots == ("read", "write")
     assert index.n_s == 3
-    assert index.t_o == 3
+    # a count equal to the threshold keeps its slot
+    at_threshold = CountTable((("read", 100), ("write", 80), ("futex", 3)))
+    assert build_index(at_threshold).slots == ("read", "write", "futex")
 
 
 def test_build_index_empty():
@@ -23,7 +25,7 @@ def test_build_index_42_names_all_frequent():
     # 42 distinct names, every count >= 42 -> all retained, n_s = 43
     entries = tuple((f"sc_{i:02d}", 100 - i) for i in range(42))
     index = build_index(CountTable(entries))
-    assert index.retained == 42
+    assert len(index.slots) == 42
     assert index.n_s == 43
 
 
@@ -38,7 +40,6 @@ def test_resolve_known_and_unknown():
     assert index.resolve("read") == 0
     assert index.resolve("write") == 1
     assert index.resolve("ptrace") == 2  # OTHER
-    assert index.other_slot == 2
 
 
 def test_resolve_total_over_many_names():
@@ -52,19 +53,19 @@ def test_build_index_deterministic():
     counts = count_table(["read", "write", "read", "close"])
     a = build_index(counts)
     b = build_index(counts)
-    assert a.slots == b.slots and a.t_o == b.t_o
+    assert a == b
 
 
 def test_reserved_other_name_never_becomes_slot():
     counts = CountTable((("other", 50), ("read", 10)))
     index = build_index(counts)
     assert "other" not in index.slots
-    assert index.resolve("other") == index.other_slot
+    assert index.resolve("other") == len(index.slots)
 
 
 def test_index_rejects_duplicate_slots():
     with pytest.raises(ValueError):
-        SyscallIndex(("read", "read"), 2)
+        SyscallIndex(("read", "read"))
 
 
 def test_rebuild_from_serialized_count_table_is_identical(tmp_path):
@@ -75,8 +76,7 @@ def test_rebuild_from_serialized_count_table_is_identical(tmp_path):
     path = tmp_path / "t.counts"
     write_count_file(counts, path)
     rebuilt = build_index(read_count_file(path))
-    assert rebuilt.slots == first.slots
-    assert rebuilt.t_o == first.t_o
+    assert rebuilt == first
 
 
 def test_resolve_stream_matches_scalar_resolve():

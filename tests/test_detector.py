@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from boscids.bosc import BehaviorDb, Config, bag_of, epoch_windows
+from boscids.bosc import BehaviorDb, Config, FrozenDbError, bag_of, epoch_windows
 from boscids.catalog import SyscallIndex
 from boscids.detector import (
     DetectionReport,
@@ -16,19 +16,17 @@ from boscids.detector import (
 )
 from boscids.trace_ingest import RawTrace
 from boscids.trainer import TrainedModel, train
-from helpers import brute_force_mismatches
+from helpers import brute_force_mismatches, insert_counts
 
 logging.getLogger("boscids").setLevel(logging.ERROR)
 
 
 def tiny_model(bags, slots=("a", "b"), w=2, S=4, frac=0.10):
     db = BehaviorDb()
-    for bag in bags:
-        db.insert(bag)
+    insert_counts(db, bags)
     db.freeze()
-    index = SyscallIndex(tuple(slots), len(slots))
     cfg = Config(window_size=w, epoch_size=S, detect_threshold_fraction=frac)
-    return TrainedModel(index, db, cfg, [], 1, True)
+    return TrainedModel(SyscallIndex(tuple(slots)), db, cfg, [])
 
 
 def test_scan_epoch_counts_absent_bags():
@@ -45,10 +43,9 @@ def test_scan_epoch_from_training_data_has_zero_mismatches():
     rng = random.Random(21)
     epoch = [rng.randrange(2) for _ in range(50)]
     db = BehaviorDb()
-    for window in epoch_windows(epoch, 2):
-        db.insert(bag_of(window, 3))
+    insert_counts(db, [bag_of(window, 3) for window in epoch_windows(epoch, 2)])
     db.freeze()
-    model = TrainedModel(SyscallIndex(("a", "b"), 2), db, Config(2, 50), [], 1, True)
+    model = TrainedModel(SyscallIndex(("a", "b")), db, Config(2, 50), [])
     verdict = scan_epoch(model, epoch)
     assert verdict.mismatches == 0
     assert not verdict.anomalous
@@ -71,7 +68,6 @@ def test_scan_epoch_shorter_than_window():
     assert verdict.windows_scanned == 0
     assert verdict.mismatches == 0
     assert not verdict.anomalous
-    assert verdict.warning is not None
 
 
 def test_scan_matches_brute_force():
@@ -81,13 +77,9 @@ def test_scan_matches_brute_force():
         w = rng.randint(2, 5)
         known = {bag_of([rng.randrange(n_s) for _ in range(w)], n_s) for _ in range(30)}
         db = BehaviorDb()
-        for bag in known:
-            db.insert(bag)
+        insert_counts(db, sorted(known))
         db.freeze()
-        model = TrainedModel(
-            SyscallIndex(tuple(f"s{i}" for i in range(n_s - 1)), 0),
-            db, Config(w, 64), [], 1, True,
-        )
+        model = TrainedModel(SyscallIndex(tuple(f"s{i}" for i in range(n_s - 1))), db, Config(w, 64), [])
         epoch = [rng.randrange(n_s) for _ in range(64)]
         verdict = scan_epoch(model, epoch)
         assert verdict.mismatches == brute_force_mismatches(epoch, w, n_s, known)
@@ -98,7 +90,8 @@ def test_detection_does_not_mutate_model():
     before = dict(model.db.items())
     detect(model, RawTrace(["a", "a", "b", "b"] * 3))
     assert dict(model.db.items()) == before
-    assert model.db.frozen
+    with pytest.raises(FrozenDbError):
+        insert_counts(model.db, [(1, 1, 0)])
 
 
 def test_bag_invariant_under_swap_within_window():
@@ -115,10 +108,9 @@ def test_adding_db_entries_never_increases_mismatches():
     epoch = [rng.randrange(3) for _ in range(60)]
     small = tiny_model([(1, 1, 0)], slots=("a", "b"), w=2, S=60)
     grown_db = BehaviorDb()
-    for bag in [(1, 1, 0), (2, 0, 0), (0, 2, 0), (0, 1, 1)]:
-        grown_db.insert(bag)
+    insert_counts(grown_db, [(1, 1, 0), (2, 0, 0), (0, 2, 0), (0, 1, 1)])
     grown_db.freeze()
-    grown = TrainedModel(small.index, grown_db, small.config, [], 1, True)
+    grown = TrainedModel(small.index, grown_db, small.config, [])
     assert scan_epoch(grown, epoch).mismatches <= scan_epoch(small, epoch).mismatches
 
 
@@ -202,3 +194,27 @@ def test_format_report_rows():
     lines = text.splitlines()
     assert lines[0].split() == ["0", "3", "0", "0.4", "0"]
     assert lines[-1].startswith("total ")
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        # totals that disagree with the single row above them
+        ("0 3 0 0.4 0\ntotal epochs=9 windows=999 mismatches=0 anomalous_epochs=0 trace_anomalous=0\n",
+         "line 2: summary says epochs=9, the rows give 1"),
+        ("0 3 2 0.4 1\ntotal epochs=1 windows=3 mismatches=2 anomalous_epochs=1 trace_anomalous=0\n",
+         "line 2: summary says trace_anomalous=0, the rows give 1"),
+        ("0 3 2 0.4 7\ntotal epochs=1 windows=3 mismatches=2 anomalous_epochs=0 trace_anomalous=0\n",
+         "line 1: anomalous flag must be 0 or 1"),
+        ("0 x 2 0.4 0\ntotal epochs=1 windows=3 mismatches=2 anomalous_epochs=0 trace_anomalous=0\n",
+         "line 1: bad number"),
+        ("0 3 2 0.4 0\n", "missing summary line"),
+    ],
+    ids=["totals", "trace_anomalous", "flag", "number", "no-summary"],
+)
+def test_read_report_rejects_inconsistent_file(tmp_path, text, match):
+    path = tmp_path / "r.report"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match) as exc:
+        read_report_file(path)
+    assert str(exc.value).startswith(f"{path}: ")

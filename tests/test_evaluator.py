@@ -140,3 +140,12 @@ def test_labels_file_rejects_out_of_order(tmp_path):
     path.write_text("1\tnormal\n0\tnormal\n")
     with pytest.raises(ValueError, match="out of order"):
         read_labels(path)
+
+
+@pytest.mark.parametrize("index", ["x", "1.0", ""], ids=["letter", "decimal", "empty"])
+def test_labels_file_rejects_non_integer_index(tmp_path, index):
+    path = tmp_path / "bad.labels"
+    path.write_text(f"0\tnormal\n{index}\tnormal\n")
+    with pytest.raises(ValueError) as exc:
+        read_labels(path)
+    assert str(exc.value).startswith(f"{path}: line 2: epoch index")

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -176,4 +177,12 @@ def test_read_count_file_rejects_duplicates(tmp_path):
     path = tmp_path / "bad.counts"
     path.write_text("read\t2\nread\t1\n")
     with pytest.raises(ValueError, match="duplicate"):
+        ti.read_count_file(path)
+
+
+@pytest.mark.parametrize("count", ["x", "1.5", ""], ids=["letter", "decimal", "empty"])
+def test_read_count_file_rejects_non_integer_count(tmp_path, count):
+    path = tmp_path / "t.counts"
+    path.write_text(f"read\t9\nwrite\t{count}\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: line 2: count")):
         ti.read_count_file(path)

@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from boscids.bosc import Config
+from boscids.bosc import Config, FrozenDbError
 from boscids.trace_ingest import RawTrace, count_table
 from boscids.trainer import (
     ModelFormatError,
@@ -15,7 +15,7 @@ from boscids.trainer import (
     save_model,
     train,
 )
-from helpers import reference_cosine
+from helpers import insert_counts, reference_cosine
 
 logging.getLogger("boscids").setLevel(logging.ERROR)
 
@@ -78,8 +78,7 @@ def test_train_ab_micro_fixture_stops_after_epoch_3():
     assert model.converged
     assert model.epochs_trained == 3
     assert len(model.db) == 1
-    assert [r.k for r in model.history] == [2, 3]
-    assert all(r.cos_theta == 1.0 for r in model.history)
+    assert model.history == [1.0, 1.0]  # epochs 2 and 3
 
 
 def test_train_history_length_invariant():
@@ -94,29 +93,33 @@ def test_train_needs_two_full_epochs():
         train(RawTrace(["a", "b", "a", "b", "a"]), config=cfg)
 
 
-def test_train_non_convergence_flagged_not_fatal():
+def non_converged_fixture():
     # threshold 1.0 with a noisy source never sees two exact-1.0 epochs
     rng = random.Random(8)
     names = [rng.choice("abcdefgh") for _ in range(400)]
-    cfg = Config(window_size=3, epoch_size=50, train_threshold=1.0)
-    model = train(RawTrace(names), config=cfg)
+    return train(RawTrace(names), config=Config(window_size=3, epoch_size=50, train_threshold=1.0))
+
+
+def test_train_non_convergence_flagged_not_fatal():
+    model = non_converged_fixture()
     assert not model.converged
     assert model.epochs_trained == 8
-    assert model.db.frozen
+    with pytest.raises(FrozenDbError):
+        insert_counts(model.db, [(1, 1, 1, 0, 0, 0, 0, 0, 0)])
 
 
 def test_train_history_values_in_unit_interval():
     rng = random.Random(9)
     names = [rng.choice("abcd") for _ in range(600)]
     model = train(RawTrace(names), config=Config(window_size=3, epoch_size=60, train_threshold=1.0))
-    assert all(0.0 <= r.cos_theta <= 1.0 for r in model.history)
+    assert all(0.0 <= cos <= 1.0 for cos in model.history)
 
 
 def test_train_db_is_frozen_and_counts_add_up():
     cfg = Config(window_size=2, epoch_size=4, train_threshold=0.99)
     model = train(ab_trace(4), config=cfg)
     windows_per_epoch = 4 - 2 + 1
-    assert model.db.total_frequency() == windows_per_epoch * model.epochs_trained
+    assert sum(freq for _, freq in model.db.items()) == windows_per_epoch * model.epochs_trained
 
 
 def test_train_accepts_pre_resolved_slots():
@@ -168,14 +171,22 @@ def test_save_load_round_trip_identity(tmp_path):
     save_model(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert loaded.index.slots == model.index.slots
-    assert dict(loaded.db.items()) == dict(model.db.items())
-    assert loaded.db.insertion_order == model.db.insertion_order
+    assert list(loaded.db.items()) == list(model.db.items())  # same order too
     assert loaded.config == model.config
     assert loaded.epochs_trained == model.epochs_trained
     assert loaded.converged == model.converged
-    assert [(r.k, round(r.cos_theta, 9)) for r in loaded.history] == [
-        (r.k, round(r.cos_theta, 9)) for r in model.history
-    ]
+    assert [round(cos, 9) for cos in loaded.history] == [round(cos, 9) for cos in model.history]
+
+
+@pytest.mark.parametrize("fixture, converged", [(model_fixture, True), (non_converged_fixture, False)])
+def test_loaded_model_keeps_stopping_state(tmp_path, fixture, converged):
+    model = fixture()
+    p = tmp_path / "m.model"
+    save_model(model, p)
+    loaded = load_model(p)
+    assert model.converged is converged
+    assert loaded.converged == model.converged
+    assert loaded.epochs_trained == model.epochs_trained == len(model.history) + 1
 
 
 def test_save_is_deterministic(tmp_path):
@@ -267,3 +278,21 @@ def test_load_rejects_params_that_fail_config(tmp_path):
         with pytest.raises(ModelFormatError, match=needle) as exc:
             load_model(p)
         assert exc.value.section == "params"
+
+
+def test_load_rejects_history_record_with_wrong_epoch(tmp_path):
+    p = tmp_path / "m.model"
+    save_model(model_fixture(), p)  # history "2 1.000000000", "3 1.000000000"
+    reseal(p, b"\n3 1.000000000\n", b"\n4 1.000000000\n")
+    with pytest.raises(ModelFormatError, match="record 1: epoch 4, expected 3") as exc:
+        load_model(p)
+    assert exc.value.section == "history"
+
+
+def test_load_rejects_non_ascii_body(tmp_path):
+    p = tmp_path / "m.model"
+    save_model(model_fixture(), p)  # slots "a", "b"
+    reseal(p, b"\na\nb\n", "\n\u00e4\nb\n".encode("utf-8"))
+    with pytest.raises(ModelFormatError, match="non-ASCII") as exc:
+        load_model(p)
+    assert exc.value.section == "structure"
