@@ -42,7 +42,7 @@ for line in SNIPPET.splitlines():
 
 trace = ingest(lines, source="demo snippet")
 print(f"\n= extracted stream ({trace.source_meta})")
-print(" ", " ".join(trace.calls))
+print(" ", " ".join(trace.names[c] for c in trace.calls))
 
 table = count_table(trace)
 print("\n= count table (count desc, name asc)")

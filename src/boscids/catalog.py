@@ -1,7 +1,6 @@
 """Syscall-to-slot index with an OTHER bucket for rare and unknown names."""
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -31,18 +30,14 @@ class SyscallIndex:
     def n_s(self) -> int:
         return len(self.slots) + 1
 
-    @cached_property
-    def _slot_of(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.slots)}
-
     def resolve(self, name: str) -> int:
-        return self._slot_of.get(name, len(self.slots))
+        return self.slots.index(name) if name in self.slots else len(self.slots)
 
-    def resolve_stream(self, names) -> np.ndarray:
-        """Resolve a whole name sequence to an int64 slot array."""
-        lut = self._slot_of
-        other = len(self.slots)
-        return np.array([lut.get(n, other) for n in names], dtype=np.int64)
+    def resolve_stream(self, trace) -> np.ndarray:
+        """Resolve a trace (a RawTrace or names) to int64 slots by one gather."""
+        trace = RawTrace.from_names(trace)
+        lut = np.array([self.resolve(n) for n in trace.names], dtype=np.int64)
+        return lut[trace.calls]
 
 
 def build_index(counts: CountTable) -> SyscallIndex:
@@ -59,26 +54,3 @@ def build_index(counts: CountTable) -> SyscallIndex:
     )
     return SyscallIndex(slots)
 
-
-def is_slot_stream(trace) -> bool:
-    """True when the trace's calls are integer slots, not syscall names."""
-    seq = trace.calls if isinstance(trace, RawTrace) else trace
-    if isinstance(seq, np.ndarray):
-        return np.issubdtype(seq.dtype, np.integer)
-    return len(seq) > 0 and isinstance(seq[0], (int, np.integer))
-
-
-def slot_stream(trace, index: SyscallIndex) -> np.ndarray:
-    """Normalize a trace to an int64 slot array over the index.
-
-    Names (a RawTrace or a name sequence) resolve through the index, unknown
-    ones to OTHER; an integer stream is taken as already resolved and only
-    range-checked.
-    """
-    seq = trace.calls if isinstance(trace, RawTrace) else trace
-    if not is_slot_stream(seq):
-        return index.resolve_stream(seq)
-    slots = np.asarray(seq, dtype=np.int64)
-    if slots.size and (slots.min() < 0 or slots.max() >= index.n_s):
-        raise ValueError("slot stream contains indices outside the index")
-    return slots

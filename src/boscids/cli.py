@@ -237,7 +237,6 @@ def _cmd_gen(args) -> int:
         trace, labels = synth.gen_anomalous(spec, args.calls, inj, args.epoch_size)
     else:
         trace = synth.gen_normal(spec, args.calls)
-        labels = None
         if args.labels:
             if args.calls % args.epoch_size:
                 raise CliError("calls: must be a multiple of epoch-size when labels are requested")
@@ -246,8 +245,6 @@ def _cmd_gen(args) -> int:
     print(f"{trace.source_meta}")
     print(f"trace: {args.out}")
     if args.labels:
-        if labels is None:
-            raise CliError("labels: nothing to write")
         evaluator.write_labels(labels, args.labels)
         print(f"labels: {args.labels}")
     return 0

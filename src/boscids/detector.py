@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 
 from .bosc import unique_window_bags
-from .catalog import slot_stream
 from .trainer import TrainedModel
 
 log = logging.getLogger(__name__)
@@ -51,13 +50,14 @@ def scan_epoch(model: TrainedModel, epoch, epoch_index: int = 0,
 
 
 def detect(model: TrainedModel, trace, threshold_fraction: float | None = None) -> DetectionReport:
-    """Partition a trace into epochs and scan each against the frozen model.
+    """Partition a trace (a RawTrace or a sequence of syscall names) into
+    epochs and scan each against the frozen model.
 
     The trailing partial epoch is scanned when it is at least one window
     long; anything shorter is dropped with a note in the totals. Unknown
     syscall names resolve to the OTHER slot, never failing.
     """
-    slots = slot_stream(trace, model.index)
+    slots = model.index.resolve_stream(trace)
     S = model.config.epoch_size
     w = model.config.window_size
     n = int(slots.shape[0])

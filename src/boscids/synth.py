@@ -7,13 +7,13 @@ uniforms by hand so identical seeds give byte-identical traces across
 platforms and library versions. A known-answer test pins the stream.
 """
 
+import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .trace_ingest import SYSCALL_NAME_RE, RawTrace
+from .trace_ingest import RawTrace
 
 # Real syscall names, roughly hottest-first, used as the default alphabet.
 COMMON_SYSCALLS = (
@@ -65,11 +65,9 @@ class SourceSpec:
         n = len(self.alphabet)
         if n == 0:
             raise ValueError("alphabet must not be empty")
-        if len(set(self.alphabet)) != n:
+        # from_names rejects an invalid name and codes a repeated one once.
+        if len(RawTrace.from_names(self.alphabet).names) != n:
             raise ValueError("alphabet names must be unique")
-        for name in self.alphabet:
-            if not SYSCALL_NAME_RE.fullmatch(name):
-                raise ValueError(f"invalid syscall name {name!r}")
         if self.transition.shape != (n, n):
             raise ValueError(f"transition matrix must be {n}x{n}")
         sums = self.transition.sum(axis=1)
@@ -199,13 +197,13 @@ def _walk(spec: SourceSpec, total_calls: int) -> list[int]:
 
 
 def gen_normal(spec: SourceSpec, total_calls: int) -> RawTrace:
-    """Markov walk over the alphabet, fully determined by the source seed."""
+    """Markov walk over the alphabet, fully determined by the source seed;
+    the walk's states are the trace's codes into the alphabet."""
     if total_calls < 1:
         raise ValueError("total_calls must be positive")
-    alphabet = spec.alphabet
-    names = [alphabet[s] for s in _walk(spec, total_calls)]
-    meta = f"synth seed={spec.seed} calls={total_calls} names={len(alphabet)} zipf_s={spec.zipf_s}"
-    return RawTrace(names, meta)
+    states = np.array(_walk(spec, total_calls), dtype=np.int32)
+    meta = f"synth seed={spec.seed} calls={total_calls} names={len(spec.alphabet)} zipf_s={spec.zipf_s}"
+    return RawTrace(spec.alphabet, states, meta)
 
 
 def _inject_rng(spec: SourceSpec, epoch: int) -> np.random.Generator:
@@ -233,22 +231,21 @@ def gen_anomalous(spec: SourceSpec, total_calls: int, inj: InjectionSpec,
             raise ValueError(f"target epoch {e} outside trace of {n_epochs} epochs")
 
     base = gen_normal(spec, total_calls)
-    calls = list(base.calls)
+    calls = base.calls.copy()
     alphabet = spec.alphabet
-    state_of = {name: i for i, name in enumerate(alphabet)}
     init_cum = _cum_of(_zipf_weights(len(alphabet), spec.zipf_s))
+    novel = [nm for nm in NOVEL_SYSCALLS if nm not in alphabet] or [f"novel_{i}" for i in range(8)]
+    pool = [nm for nm in novel if nm not in alphabet]
+    names = alphabet + tuple(pool) if inj.mode == "novel_names" else alphabet
 
     for e in sorted(inj.target_epochs):
         rng = _inject_rng(spec, e)
         start = e * epoch_size
         k = max(1, round(inj.intensity * epoch_size))
         if inj.mode == "novel_names":
-            pool = [nm for nm in NOVEL_SYSCALLS if nm not in state_of]
-            if not pool:
-                pool = [f"novel_{i}" for i in range(8)]
             positions = sorted(_shuffled(rng, epoch_size)[:k])
             for j, p in enumerate(positions):
-                calls[start + p] = pool[j % len(pool)]
+                calls[start + p] = len(alphabet) + j % len(pool)
         elif inj.mode == "shuffled_transitions":
             perm = _shuffled(rng, len(alphabet))
             permuted = spec.transition[np.ix_(perm, perm)]
@@ -257,22 +254,21 @@ def gen_anomalous(spec: SourceSpec, total_calls: int, inj: InjectionSpec,
             for p in positions:
                 gpos = start + p
                 if gpos == 0:
-                    calls[gpos] = alphabet[_pick(init_cum, rng.random())]
+                    calls[gpos] = _pick(init_cum, rng.random())
                 else:
-                    prev = state_of[calls[gpos - 1]]
-                    calls[gpos] = alphabet[_pick(cum_rows[prev], rng.random())]
+                    calls[gpos] = _pick(cum_rows[calls[gpos - 1]], rng.random())
         else:  # burst_repeat
             motif = _pick_distinct(rng, init_cum, min(3, len(alphabet)))
             offset = int(rng.random() * (epoch_size - k + 1))
             for j in range(k):
-                calls[start + offset + j] = alphabet[motif[j % len(motif)]]
+                calls[start + offset + j] = motif[j % len(motif)]
 
     labels = ["malicious" if e in inj.target_epochs else "normal" for e in range(n_epochs)]
     meta = (
         f"{base.source_meta} injected={sorted(inj.target_epochs)} "
         f"mode={inj.mode} intensity={inj.intensity}"
     )
-    return RawTrace(calls, meta), labels
+    return RawTrace(names, calls, meta), labels
 
 
 def first_uniforms(seed: int, count: int = 4) -> list[float]:
@@ -282,13 +278,6 @@ def first_uniforms(seed: int, count: int = 4) -> list[float]:
     return rng.random(count).tolist()
 
 
-def trace_digest(trace: RawTrace | Iterable[str]) -> str:
-    """sha256 over the name-per-line text; used to pin generated fixtures."""
-    import hashlib
-
-    calls = trace.calls if isinstance(trace, RawTrace) else trace
-    h = hashlib.sha256()
-    for name in calls:
-        h.update(name.encode("ascii"))
-        h.update(b"\n")
-    return h.hexdigest()
+def trace_digest(trace) -> str:
+    """sha256 of a trace's file text; pins generated fixtures."""
+    return hashlib.sha256(RawTrace.from_names(trace).file_bytes()).hexdigest()

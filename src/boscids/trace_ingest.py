@@ -4,13 +4,20 @@ The tracer writes one event per line: ordinary calls, `<unfinished ...>` /
 `<... name resumed>` splits, signal notices (`--- SIG... ---`), and process
 exit notices (`+++ exited ... +++`). Only the syscall names survive here;
 arguments, return values, and PIDs are stripped.
+
+A trace is dictionary-coded, like Arrow's DictionaryArray or pandas'
+Categorical: distinct names plus one int32 code per call. RawTrace.from_names
+is the one place a name sequence becomes a trace and checks each distinct
+name once; counting is a bincount over the codes.
 """
 
 import re
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 SYSCALL_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -30,12 +37,46 @@ class RawTraceLine:
     name: str | None = None
 
 
-@dataclass
-class RawTrace:
-    """Ordered syscall names extracted from one tracer stream."""
+class SyscallNameError(ValueError):
+    """An invalid syscall name, first called at index position."""
 
-    calls: list[str]
+    def __init__(self, name: object, position: int):
+        super().__init__(f"invalid syscall name {name!r}")
+        self.position = position
+
+
+@dataclass(eq=False)
+class RawTrace:
+    """One trace: calls[i] is the int32 code of call i into names. from_names
+    lists names in first-appearance order; gen's names may go unused."""
+
+    names: tuple[str, ...]
+    calls: np.ndarray
     source_meta: str = ""
+
+    @classmethod
+    def from_names(cls, seq: "RawTrace | Iterable[str | bytes]", source_meta: str = "") -> "RawTrace":
+        """Code a sequence of syscall names (str, or ASCII bytes), checking
+        each distinct name once; any other item, an int included, raises
+        SyscallNameError. A RawTrace passes through unchanged."""
+        if isinstance(seq, RawTrace):
+            return seq
+        # A new name's code is the dict's size when first seen; map loops in C.
+        code_of = defaultdict()
+        code_of.default_factory = code_of.__len__
+        calls = np.fromiter(map(code_of.__getitem__, seq), dtype=np.int32)
+        names = []
+        for code, raw in enumerate(code_of):
+            name = raw.decode("ascii", "backslashreplace") if isinstance(raw, bytes) else raw
+            if not (isinstance(name, str) and SYSCALL_NAME_RE.fullmatch(name)):
+                raise SyscallNameError(name, int(np.argmax(calls == code)))
+            names.append(name)
+        return cls(tuple(names), calls, source_meta)
+
+    def file_bytes(self) -> bytes:
+        """The trace file's content: one name per call, LF-terminated."""
+        lines = np.array([f"{n}\n".encode("ascii") for n in self.names], dtype=object)
+        return b"".join(lines[self.calls].tolist())
 
 
 @dataclass(frozen=True)
@@ -106,7 +147,7 @@ def ingest(lines: Iterable[str], source: str = "<stream>") -> RawTrace:
             calls.append(parsed.name)
         elif parsed.kind == "garbage":
             n_garbage += 1
-    return RawTrace(calls, f"{source}: {n_lines} lines, {n_garbage} garbage")
+    return RawTrace.from_names(calls, f"{source}: {n_lines} lines, {n_garbage} garbage")
 
 
 def ingest_file(path) -> RawTrace:
@@ -116,13 +157,15 @@ def ingest_file(path) -> RawTrace:
 
 
 def count_table(trace: RawTrace | Iterable[str]) -> CountTable:
-    calls = trace.calls if isinstance(trace, RawTrace) else trace
-    return CountTable.from_counts(Counter(calls))
+    """Count each name's calls; names no call uses are left out."""
+    trace = RawTrace.from_names(trace)
+    counts = np.bincount(trace.calls, minlength=len(trace.names)).tolist()
+    return CountTable.from_counts({n: c for n, c in zip(trace.names, counts) if c})
 
 
 def write_trace_file(trace: RawTrace, path) -> None:
     """One syscall name per line, LF-terminated."""
-    Path(path).write_bytes("".join(f"{n}\n" for n in trace.calls).encode("ascii"))
+    Path(path).write_bytes(trace.file_bytes())
 
 
 def write_count_file(table: CountTable, path) -> None:
@@ -133,33 +176,32 @@ def write_count_file(table: CountTable, path) -> None:
 
 
 def read_trace_file(path) -> RawTrace:
+    """Read a trace file; an error names the first invalid line."""
     p = Path(path)
-    calls = []
-    with p.open("r", encoding="ascii") as fh:
-        for i, line in enumerate(fh, start=1):
-            name = line.rstrip("\n")
-            if not SYSCALL_NAME_RE.fullmatch(name):
-                raise ValueError(f"{p}: line {i}: invalid syscall name {name!r}")
-            calls.append(name)
-    return RawTrace(calls, f"{p.name}: {len(calls)} lines, 0 garbage")
+    # bytes.splitlines splits on \n, \r and \r\n, as text-mode reading does.
+    lines = p.read_bytes().splitlines()
+    try:
+        return RawTrace.from_names(lines, f"{p.name}: {len(lines)} lines, 0 garbage")
+    except SyscallNameError as e:
+        raise ValueError(f"{p}: line {e.position + 1}: {e}") from None
 
 
 def read_count_file(path) -> CountTable:
+    """Read a count file; a count is ASCII digits only."""
     p = Path(path)
     counts: dict[str, int] = {}
-    with p.open("r", encoding="ascii") as fh:
-        for i, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2 or not SYSCALL_NAME_RE.fullmatch(parts[0]):
-                raise ValueError(f"{p}: line {i}: expected `name<TAB>count`")
-            name, raw = parts
-            if name in counts:
-                raise ValueError(f"{p}: line {i}: duplicate name {name!r}")
-            try:
-                count = int(raw)
-            except ValueError:
-                raise ValueError(f"{p}: line {i}: count {raw!r} is not an integer") from None
-            if count < 1:
-                raise ValueError(f"{p}: line {i}: count must be positive")
-            counts[name] = count
+    for i, line in enumerate(p.read_bytes().splitlines(), start=1):
+        # Escaped non-ASCII bytes fail both the name and the count check.
+        parts = line.decode("ascii", "backslashreplace").split("\t")
+        if len(parts) != 2 or not SYSCALL_NAME_RE.fullmatch(parts[0]):
+            raise ValueError(f"{p}: line {i}: expected `name<TAB>count`")
+        name, raw = parts
+        if name in counts:
+            raise ValueError(f"{p}: line {i}: duplicate name {name!r}")
+        if not raw.isdigit():
+            raise ValueError(f"{p}: line {i}: count {raw!r} is not an integer")
+        count = int(raw)
+        if count < 1:
+            raise ValueError(f"{p}: line {i}: count must be positive")
+        counts[name] = count
     return CountTable.from_counts(counts)

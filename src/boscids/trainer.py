@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from .bosc import CHUNK, Bags, BehaviorDb, Config, unique_window_bags
-from .catalog import OTHER_NAME, SyscallIndex, build_index, is_slot_stream, slot_stream
-from .trace_ingest import SYSCALL_NAME_RE, CountTable, count_table
+from .catalog import OTHER_NAME, SyscallIndex, build_index
+from .trace_ingest import SYSCALL_NAME_RE, CountTable, RawTrace, count_table
 
 log = logging.getLogger(__name__)
 
@@ -71,7 +71,7 @@ def cosine_similarity(a, b) -> float:
 
 
 def train(trace, counts: CountTable | None = None, config: Config | None = None) -> TrainedModel:
-    """Learn normal behavior from a trace of full epochs.
+    """Learn normal behavior from a trace (a RawTrace or syscall names) of full epochs.
 
     After each epoch k>1 the change vector is compared to the previous one;
     training stops once the similarity stays at or above the threshold for
@@ -81,12 +81,11 @@ def train(trace, counts: CountTable | None = None, config: Config | None = None)
     """
     if config is None:
         config = Config()
+    trace = RawTrace.from_names(trace)
     if counts is None:
-        if is_slot_stream(trace):
-            raise ValueError("a pre-resolved slot stream needs an explicit count table")
         counts = count_table(trace)
     index = build_index(counts)
-    slots = slot_stream(trace, index)
+    slots = index.resolve_stream(trace)
     S = config.epoch_size
     w = config.window_size
     n_epochs = len(slots) // S

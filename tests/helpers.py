@@ -1,8 +1,9 @@
 """Independent brute-force oracles the engine-path tests compare against.
 
 Everything here recounts from scratch, with plain Python loops or with
-count-matrix rows; none of it shares code with the bag-key paths under test.
-The one exception, insert_counts, is a fixture builder, not an oracle.
+count-matrix rows; none of it shares code with the bag-key or coded-trace
+paths under test. The one exception, insert_counts, is a fixture builder,
+not an oracle.
 """
 
 import math
@@ -18,6 +19,27 @@ def insert_counts(db, bags, multiplicities=None):
     return the change vector."""
     mult = [1] * len(bags) if multiplicities is None else multiplicities
     return db.insert_many(Bags.from_counts(bags), mult)
+
+
+def counter_table_entries(names):
+    """Count-table entries of a name sequence, by Counter: count descending,
+    then name ascending."""
+    return tuple(sorted(Counter(names).items(), key=lambda kv: (-kv[1], kv[0])))
+
+
+def call_names(trace):
+    """The name of each call of a coded trace, decoded one by one."""
+    return [trace.names[c] for c in trace.calls]
+
+
+def resolve_each(index, names):
+    """Slots of a name sequence, one index.resolve call per name."""
+    return [index.resolve(n) for n in names]
+
+
+def trace_text(names):
+    """Trace-file bytes of a name sequence, written name by name."""
+    return "".join(f"{n}\n" for n in names).encode("ascii")
 
 
 def brute_force_bag(window, n_s):

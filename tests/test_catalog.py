@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from boscids.catalog import SyscallIndex, build_index, slot_stream
+from boscids.catalog import SyscallIndex, build_index
 from boscids.trace_ingest import CountTable, RawTrace, count_table
 
 
@@ -85,16 +85,20 @@ def test_resolve_stream_matches_scalar_resolve():
     assert index.resolve_stream(names).tolist() == [index.resolve(n) for n in names]
 
 
-def test_slot_stream_resolves_names_and_passes_slots():
+def test_resolve_stream_takes_a_trace_or_names():
     index = build_index(CountTable((("read", 10), ("write", 5))))
     names = ["write", "mystery", "read"]
-    assert slot_stream(names, index).tolist() == [1, 2, 0]
-    assert slot_stream(RawTrace(names), index).tolist() == [1, 2, 0]
-    assert slot_stream([2, 0, 1], index).tolist() == [2, 0, 1]
-    assert slot_stream(np.array([1, 1], dtype=np.int32), index).dtype == np.int64
+    assert index.resolve_stream(names).tolist() == [1, 2, 0]
+    assert index.resolve_stream(RawTrace.from_names(names)).tolist() == [1, 2, 0]
+    # a generated trace's names may hold names no call uses
+    gen_shaped = RawTrace(("read", "unused", "write"), np.array([2, 0, 0], dtype=np.int32))
+    slots = index.resolve_stream(gen_shaped)
+    assert slots.tolist() == [1, 0, 0]
+    assert slots.dtype == np.int64
 
 
-def test_slot_stream_rejects_slots_outside_index():
+def test_resolve_stream_rejects_int_streams():
     index = build_index(CountTable((("read", 10),)))
-    with pytest.raises(ValueError, match="outside the index"):
-        slot_stream([0, 2], index)
+    for stream in ([0, 2], np.array([1, 1], dtype=np.int32)):
+        with pytest.raises(ValueError, match="invalid syscall name"):
+            index.resolve_stream(stream)

@@ -88,7 +88,7 @@ def test_scan_matches_brute_force():
 def test_detection_does_not_mutate_model():
     model = tiny_model([(1, 1, 0)])
     before = dict(model.db.items())
-    detect(model, RawTrace(["a", "a", "b", "b"] * 3))
+    detect(model, RawTrace.from_names(["a", "a", "b", "b"] * 3))
     assert dict(model.db.items()) == before
     with pytest.raises(FrozenDbError):
         insert_counts(model.db, [(1, 1, 0)])
@@ -117,7 +117,7 @@ def test_adding_db_entries_never_increases_mismatches():
 def test_detect_partitions_and_aggregates():
     model = tiny_model([(1, 1, 0)], S=4)
     # two clean epochs then one corrupt epoch
-    trace = RawTrace(["a", "b"] * 4 + ["b", "b", "b", "b"])
+    trace = RawTrace.from_names(["a", "b"] * 4 + ["b", "b", "b", "b"])
     report = detect(model, trace)
     assert [v.anomalous for v in report.verdicts] == [False, False, True]
     assert report.trace_anomalous
@@ -127,14 +127,14 @@ def test_detect_partitions_and_aggregates():
 
 def test_detect_trace_anomalous_is_or_of_verdicts():
     model = tiny_model([(1, 1, 0)], S=4)
-    clean = detect(model, RawTrace(["a", "b"] * 4))
+    clean = detect(model, RawTrace.from_names(["a", "b"] * 4))
     assert not clean.trace_anomalous
     assert clean.totals["anomalous_epochs"] == 0
 
 
 def test_detect_scans_partial_tail_with_scaled_threshold():
     model = tiny_model([(1, 1, 0)], S=4)
-    trace = RawTrace(["a", "b"] * 2 + ["a", "b", "a"])  # 4 + 3 calls
+    trace = RawTrace.from_names(["a", "b"] * 2 + ["a", "b", "a"])  # 4 + 3 calls
     report = detect(model, trace)
     assert len(report.verdicts) == 2
     tail = report.verdicts[1]
@@ -144,7 +144,7 @@ def test_detect_scans_partial_tail_with_scaled_threshold():
 
 def test_detect_drops_tail_shorter_than_window():
     model = tiny_model([(1, 1, 0)], S=4)
-    trace = RawTrace(["a", "b"] * 2 + ["a"])  # tail of 1 < w=2
+    trace = RawTrace.from_names(["a", "b"] * 2 + ["a"])  # tail of 1 < w=2
     report = detect(model, trace)
     assert len(report.verdicts) == 1
     assert report.totals["dropped_tail_calls"] == 1
@@ -152,20 +152,20 @@ def test_detect_drops_tail_shorter_than_window():
 
 def test_detect_empty_trace_gives_empty_report():
     model = tiny_model([(1, 1, 0)])
-    report = detect(model, RawTrace([]))
+    report = detect(model, RawTrace.from_names([]))
     assert report.verdicts == []
     assert not report.trace_anomalous
 
 
 def test_detect_unknown_names_go_to_other_slot():
     model = tiny_model([(1, 1, 0)], S=4)
-    report = detect(model, RawTrace(["ptrace", "bpf"] * 2))
+    report = detect(model, RawTrace.from_names(["ptrace", "bpf"] * 2))
     assert report.verdicts[0].mismatches == 3  # every bag is (0,0,2), unseen
 
 
 def test_detect_threshold_fraction_override():
     model = tiny_model([(1, 1, 0)], S=4)
-    trace = RawTrace(["a", "a", "b", "b"])
+    trace = RawTrace.from_names(["a", "a", "b", "b"])
     assert detect(model, trace).verdicts[0].anomalous
     # with the loosest threshold nothing gets flagged
     loose = detect(model, trace, threshold_fraction=1.0)
@@ -177,7 +177,7 @@ def test_report_round_trip(tmp_path):
     path = tmp_path / "r.report"
     # whole epochs, then a 1-call tail shorter than w=2
     for calls, dropped in ((["a", "b"] * 4 + ["b"] * 4, 0), (["a", "b", "a", "b", "a"], 1)):
-        report = detect(model, RawTrace(calls))
+        report = detect(model, RawTrace.from_names(calls))
         write_report_file(report, path)
         loaded = read_report_file(path)
         assert loaded.verdicts == report.verdicts
@@ -190,7 +190,7 @@ def test_report_round_trip(tmp_path):
 
 def test_format_report_rows():
     model = tiny_model([(1, 1, 0)], S=4)
-    text = format_report(detect(model, RawTrace(["a", "b"] * 2)))
+    text = format_report(detect(model, RawTrace.from_names(["a", "b"] * 2)))
     lines = text.splitlines()
     assert lines[0].split() == ["0", "3", "0", "0.4", "0"]
     assert lines[-1].startswith("total ")

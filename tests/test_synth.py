@@ -7,6 +7,7 @@ import pytest
 from boscids import detector, trainer
 from boscids.bosc import Config
 from boscids.synth import (
+    NOVEL_SYSCALLS,
     InjectionSpec,
     SourceSpec,
     first_uniforms,
@@ -15,6 +16,8 @@ from boscids.synth import (
     make_source,
     trace_digest,
 )
+from boscids.trace_ingest import count_table
+from helpers import call_names, counter_table_entries
 
 logging.getLogger("boscids").setLevel(logging.ERROR)
 
@@ -38,7 +41,7 @@ def test_rng_known_answer():
 def test_single_name_alphabet_repeats():
     spec = SourceSpec(("read",), np.array([[1.0]]), 0.0, 5)
     trace = gen_normal(spec, 20)
-    assert trace.calls == ["read"] * 20
+    assert call_names(trace) == ["read"] * 20
 
 
 def test_pinned_fixture_checksum():
@@ -52,12 +55,12 @@ def test_different_seeds_differ():
     spec_b = make_source(seed=43)
     a = gen_normal(spec_a, 5000)
     b = gen_normal(spec_b, 5000)
-    assert a.calls != b.calls
+    assert call_names(a) != call_names(b)
 
 
 def test_generation_is_deterministic():
     spec = make_source(seed=12)
-    assert gen_normal(spec, 3000).calls == gen_normal(spec, 3000).calls
+    assert call_names(gen_normal(spec, 3000)) == call_names(gen_normal(spec, 3000))
 
 
 def test_source_spec_validates_rows():
@@ -116,7 +119,7 @@ def test_untargeted_epochs_match_gen_normal(mode):
     corrupted, labels = gen_anomalous(spec, 5 * S, inj, S)
     base = gen_normal(spec, 5 * S)
     for e in range(5):
-        block_equal = corrupted.calls[e * S : (e + 1) * S] == base.calls[e * S : (e + 1) * S]
+        block_equal = call_names(corrupted)[e * S : (e + 1) * S] == call_names(base)[e * S : (e + 1) * S]
         if labels[e] == "normal":
             assert block_equal
         else:
@@ -124,17 +127,21 @@ def test_untargeted_epochs_match_gen_normal(mode):
 
 
 def test_novel_names_stay_outside_alphabet():
-    spec = make_source(n_names=16, seed=77)
-    inj = InjectionSpec(frozenset({0}), "novel_names", 1.0)
-    corrupted, _ = gen_anomalous(spec, 200, inj, 200)
-    assert all(name not in spec.alphabet for name in corrupted.calls[:200])
+    # the second alphabet holds every attack-flavored name and a fallback one
+    crowded = ("read", "novel_0") + NOVEL_SYSCALLS
+    n = len(crowded)
+    for spec in (make_source(n_names=16, seed=77), SourceSpec(crowded, np.full((n, n), 1 / n), 0.0, 5)):
+        inj = InjectionSpec(frozenset({0}), "novel_names", 1.0)
+        corrupted, _ = gen_anomalous(spec, 200, inj, 200)
+        assert all(name not in spec.alphabet for name in call_names(corrupted)[:200])
+        assert count_table(corrupted).entries == counter_table_entries(call_names(corrupted))
 
 
 def test_shuffled_transitions_keeps_alphabet():
     spec = make_source(n_names=16, seed=77)
     inj = InjectionSpec(frozenset({0}), "shuffled_transitions", 0.8)
     corrupted, _ = gen_anomalous(spec, 400, inj, 200)
-    assert all(name in spec.alphabet for name in corrupted.calls)
+    assert all(name in spec.alphabet for name in call_names(corrupted))
 
 
 def test_burst_repeat_is_contiguous_motif():
@@ -142,15 +149,15 @@ def test_burst_repeat_is_contiguous_motif():
     S = 200
     inj = InjectionSpec(frozenset({0}), "burst_repeat", 0.3)
     corrupted, _ = gen_anomalous(spec, S, inj, S)
-    base = gen_normal(spec, S)
-    changed = [i for i in range(S) if corrupted.calls[i] != base.calls[i]]
+    got, want = call_names(corrupted), call_names(gen_normal(spec, S))
+    changed = [i for i in range(S) if got[i] != want[i]]
     # replacements all fall inside one block of ~intensity*S calls, and the
     # whole block tiles a <=3-name motif (some positions may coincide with
     # the base walk and so not show as changed)
     assert changed
     k = round(0.3 * S)
     assert changed[-1] - changed[0] < k
-    assert len(set(corrupted.calls[changed[0] : changed[-1] + 1])) <= 3
+    assert len(set(got[changed[0] : changed[-1] + 1])) <= 3
 
 
 def test_injection_is_deterministic():
@@ -158,7 +165,7 @@ def test_injection_is_deterministic():
     inj = InjectionSpec(frozenset({1}), "burst_repeat", 0.5)
     a, la = gen_anomalous(spec, 600, inj, 200)
     b, lb = gen_anomalous(spec, 600, inj, 200)
-    assert a.calls == b.calls and la == lb
+    assert call_names(a) == call_names(b) and la == lb
 
 
 def test_pinned_burst_suite_flags_all_three_epochs():

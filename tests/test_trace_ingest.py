@@ -1,9 +1,15 @@
 import re
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from boscids import trace_ingest as ti
+from boscids.catalog import SyscallIndex
+from helpers import call_names, counter_table_entries, resolve_each, trace_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -96,18 +102,18 @@ def test_ingest_counts_interrupted_call_once():
         "close(3)=0",
     ]
     trace = ti.ingest(lines)
-    assert trace.calls == ["open", "read", "close"]
+    assert call_names(trace) == ["open", "read", "close"]
 
 
 def test_ingest_empty_stream():
     trace = ti.ingest([])
-    assert trace.calls == []
+    assert call_names(trace) == []
     assert "0 lines" in trace.source_meta
 
 
 def test_ingest_reports_garbage_count():
     trace = ti.ingest(["read(3)=0", "junk", "more junk", "write(1)=1"])
-    assert trace.calls == ["read", "write"]
+    assert call_names(trace) == ["read", "write"]
     assert "2 garbage" in trace.source_meta
 
 
@@ -129,7 +135,7 @@ def test_ingest_deterministic():
     raw = (FIXTURES / "mixed.strace").read_text().splitlines()
     a = ti.ingest(raw)
     b = ti.ingest(raw)
-    assert a.calls == b.calls
+    assert call_names(a) == call_names(b)
     assert ti.count_table(a).entries == ti.count_table(b).entries
 
 
@@ -151,11 +157,11 @@ def test_count_table_sums_to_trace_length():
 
 
 def test_trace_file_round_trip(tmp_path):
-    trace = ti.RawTrace(["read", "write", "read"])
+    trace = ti.RawTrace.from_names(["read", "write", "read"])
     path = tmp_path / "t.trace"
     ti.write_trace_file(trace, path)
     assert path.read_bytes() == b"read\nwrite\nread\n"
-    assert ti.read_trace_file(path).calls == trace.calls
+    assert call_names(ti.read_trace_file(path)) == call_names(trace)
 
 
 def test_count_file_round_trip(tmp_path):
@@ -168,9 +174,18 @@ def test_count_file_round_trip(tmp_path):
 
 def test_read_trace_file_rejects_bad_names(tmp_path):
     path = tmp_path / "bad.trace"
-    path.write_text("read\nnot a name\n")
-    with pytest.raises(ValueError, match="line 2"):
-        ti.read_trace_file(path)
+    cases = [
+        (b"read\nnot a name\n", 2, "'not a name'"),
+        (b"read\nwr\xc3\xa9te\n", 2, r"'wr\\xc3\\xa9te'"),
+        # two different bad names, the first one repeated after the second
+        (b"read\nx-y\nwrite\n9lives\nx-y\n", 2, "'x-y'"),
+        (b"read\r\nwrite\r\n\r\n", 3, "''"),
+    ]
+    for text, line, name in cases:
+        path.write_bytes(text)
+        message = f"{path}: line {line}: invalid syscall name {name}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            ti.read_trace_file(path)
 
 
 def test_read_count_file_rejects_duplicates(tmp_path):
@@ -180,9 +195,44 @@ def test_read_count_file_rejects_duplicates(tmp_path):
         ti.read_count_file(path)
 
 
-@pytest.mark.parametrize("count", ["x", "1.5", ""], ids=["letter", "decimal", "empty"])
+@pytest.mark.parametrize("count", [b"x", b"1.5", b"", b"1_0", b" 7", b"7\xc3\xa9"],
+                         ids=["letter", "decimal", "empty", "underscore", "space", "non-ascii"])
 def test_read_count_file_rejects_non_integer_count(tmp_path, count):
     path = tmp_path / "t.counts"
-    path.write_text(f"read\t9\nwrite\t{count}\n")
+    path.write_bytes(b"read\t9\nwrite\t" + count + b"\n")
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}: line 2: count")):
         ti.read_count_file(path)
+
+
+_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}", fullmatch=True)
+
+
+def _coded_case(names, codes, slots):
+    trace = ti.RawTrace(tuple(names), np.array(codes, dtype=np.int32))
+    return trace, [names[c] for c in codes], SyscallIndex(tuple(n for n in slots if n != "other"))
+
+
+@st.composite
+def coded_traces(draw):
+    """A coded trace the way gen builds one (names may go unused, calls
+    repeat them heavily), the name of each call, and an index."""
+    names = draw(st.lists(_NAMES, min_size=1, max_size=12, unique=True))
+    codes = draw(st.lists(st.integers(0, len(names) - 1), max_size=300))
+    slots = draw(st.lists(st.sampled_from(names + ["unseen"]), unique=True))
+    return _coded_case(names, codes, slots)
+
+
+@settings(max_examples=80, deadline=None)
+@given(coded_traces())
+@example(_coded_case(["read"], [], ["read"]))  # empty trace, unused name
+@example(_coded_case(["read", "write", "brk"], [1] * 250 + [0] * 3, ["write"]))  # heavy repeats
+def test_coded_trace_paths_equal_name_by_name_oracles(case):
+    trace, names, index = case
+    for t in (trace, ti.RawTrace.from_names(names)):
+        assert ti.count_table(t).entries == counter_table_entries(names)
+        assert index.resolve_stream(t).tolist() == resolve_each(index, names)
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "t.trace"
+            ti.write_trace_file(t, path)
+            assert path.read_bytes() == trace_text(names)
+            assert call_names(ti.read_trace_file(path)) == names

@@ -69,7 +69,7 @@ def test_cosine_scale_invariance():
 
 
 def ab_trace(epochs=4):
-    return RawTrace(["a", "b"] * (2 * epochs))
+    return RawTrace.from_names(["a", "b"] * (2 * epochs))
 
 
 def test_train_ab_micro_fixture_stops_after_epoch_3():
@@ -90,14 +90,14 @@ def test_train_history_length_invariant():
 def test_train_needs_two_full_epochs():
     cfg = Config(window_size=2, epoch_size=4)
     with pytest.raises(ValueError, match="2 full epochs"):
-        train(RawTrace(["a", "b", "a", "b", "a"]), config=cfg)
+        train(RawTrace.from_names(["a", "b", "a", "b", "a"]), config=cfg)
 
 
 def non_converged_fixture():
     # threshold 1.0 with a noisy source never sees two exact-1.0 epochs
     rng = random.Random(8)
     names = [rng.choice("abcdefgh") for _ in range(400)]
-    return train(RawTrace(names), config=Config(window_size=3, epoch_size=50, train_threshold=1.0))
+    return train(RawTrace.from_names(names), config=Config(window_size=3, epoch_size=50, train_threshold=1.0))
 
 
 def test_train_non_convergence_flagged_not_fatal():
@@ -111,7 +111,7 @@ def test_train_non_convergence_flagged_not_fatal():
 def test_train_history_values_in_unit_interval():
     rng = random.Random(9)
     names = [rng.choice("abcd") for _ in range(600)]
-    model = train(RawTrace(names), config=Config(window_size=3, epoch_size=60, train_threshold=1.0))
+    model = train(RawTrace.from_names(names), config=Config(window_size=3, epoch_size=60, train_threshold=1.0))
     assert all(0.0 <= cos <= 1.0 for cos in model.history)
 
 
@@ -122,23 +122,18 @@ def test_train_db_is_frozen_and_counts_add_up():
     assert sum(freq for _, freq in model.db.items()) == windows_per_epoch * model.epochs_trained
 
 
-def test_train_accepts_pre_resolved_slots():
-    counts = count_table(["a", "b"] * 8)
+def test_train_rejects_int_stream():
+    cfg = Config(window_size=2, epoch_size=4)
     slots = np.array([0, 1] * 8, dtype=np.int64)
-    cfg = Config(window_size=2, epoch_size=4, train_threshold=0.99)
-    model = train(slots, counts=counts, config=cfg)
-    assert model.converged and len(model.db) == 1
-
-
-def test_train_slots_require_counts():
-    with pytest.raises(ValueError, match="count table"):
-        train(np.zeros(16, dtype=np.int64), config=Config(window_size=2, epoch_size=4))
+    for counts in (None, count_table(["a", "b"] * 8)):
+        with pytest.raises(ValueError, match="invalid syscall name"):
+            train(slots, counts=counts, config=cfg)
 
 
 def test_train_discards_trailing_partial_epoch():
     cfg = Config(window_size=2, epoch_size=4, train_threshold=0.99)
     full = train(ab_trace(4), config=cfg)
-    ragged = train(RawTrace(["a", "b"] * 8 + ["a"]), config=cfg)
+    ragged = train(RawTrace.from_names(["a", "b"] * 8 + ["a"]), config=cfg)
     assert dict(full.db.items()) == dict(ragged.db.items())
 
 
@@ -149,7 +144,7 @@ def test_raising_threshold_never_trains_fewer_epochs():
     for block in range(20):
         vocab = "abcdef"[: 3 + (block % 3)]
         names.extend(rng.choice(vocab) for _ in range(100))
-    trace = RawTrace(names)
+    trace = RawTrace.from_names(names)
     prev_epochs = 0
     for tt in (0.90, 0.95, 0.99, 0.995):
         model = train(trace, config=Config(window_size=4, epoch_size=100, train_threshold=tt))
