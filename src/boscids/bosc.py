@@ -7,7 +7,8 @@ np.void of 4*w bytes. Equal bags have equal keys, and ascending byte order of
 keys is ascending lexicographic order of the count vectors, so keys sort,
 unique and search without ever being decoded. Keys are exact for every
 n_s < 2**32 and every w. Count vectors appear only at the edges: the model
-file, which BehaviorDb.items() feeds, and the pure bag_of reference.
+file, written from BehaviorDb.chunks() and read back through
+Bags.from_counts, and the pure bag_of reference.
 """
 
 import logging
@@ -20,7 +21,7 @@ log = logging.getLogger(__name__)
 
 BoSC = tuple[int, ...]
 
-CHUNK = 4096  # bags converted between keys and count rows at a time
+CHUNK = 1024  # bags converted between keys and count rows (and model lines) at a time
 
 
 @dataclass(frozen=True)
@@ -150,11 +151,16 @@ class BehaviorDb:
     def __len__(self) -> int:
         return int(self._freq.shape[0])
 
+    def chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(count matrix, frequencies) of up to CHUNK bags at a time, in
+        insertion order."""
+        for lo in range(0, len(self), CHUNK):
+            yield Bags(self._keys[lo : lo + CHUNK], self._n_s).counts(), self._freq[lo : lo + CHUNK]
+
     def items(self) -> Iterator[tuple[BoSC, int]]:
         """(count tuple, frequency) pairs in insertion order."""
-        for lo in range(0, len(self), CHUNK):
-            rows = Bags(self._keys[lo : lo + CHUNK], self._n_s).counts().tolist()
-            yield from zip(map(tuple, rows), self._freq[lo : lo + CHUNK].tolist())
+        for rows, freqs in self.chunks():
+            yield from zip(map(tuple, rows.tolist()), freqs.tolist())
 
     def positions(self, bags: Bags) -> np.ndarray:
         """Each bag's insertion position, or -1 where the db lacks it."""

@@ -41,13 +41,17 @@ def _load_config_file(path: str) -> dict[str, str]:
     p = Path(path)
     if not p.is_file():
         raise CliError(f"config: file not found: {path}")
-    for i, line in enumerate(p.read_text().splitlines(), start=1):
+    try:
+        lines = trace_ingest.read_lines(p, "utf-8")
+    except ValueError as e:
+        raise CliError(f"config: {e}") from None
+    for i, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise CliError(f"config: {path}:{i}: expected key=value, got {line!r}")
+            raise CliError(f"config: {p}: line {i}: expected key=value, got {line!r}")
         key = key.strip()
         if key not in CONFIG_KEYS:
             raise CliError(f"config: unknown field {key!r}")

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .bosc import unique_window_bags
+from .trace_ingest import read_lines
 from .trainer import TrainedModel
 
 log = logging.getLogger(__name__)
@@ -119,7 +120,7 @@ def read_report_file(path) -> DetectionReport:
     numbers with a 0/1 flag; the summary must be the last line, and each
     total it states must equal the one recomputed from the rows."""
     p = Path(path)
-    lines = p.read_text(encoding="ascii").splitlines()
+    lines = read_lines(p)
     if not lines or not lines[-1].startswith("total "):
         raise ValueError(f"{p}: missing summary line")
     verdicts = []

@@ -6,6 +6,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .detector import DetectionReport
+from .trace_ingest import read_lines
 
 LABEL_NORMAL = "normal"
 LABEL_MALICIOUS = "malicious"
@@ -113,7 +114,7 @@ def write_labels(labels: Iterable[str], path) -> None:
 def read_labels(path) -> tuple[str, ...]:
     p = Path(path)
     labels = []
-    for i, line in enumerate(p.read_text(encoding="ascii").splitlines(), start=0):
+    for i, line in enumerate(read_lines(p)):
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError(f"{p}: line {i + 1}: expected `epoch_index<TAB>label`")

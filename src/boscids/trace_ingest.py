@@ -186,6 +186,17 @@ def read_trace_file(path) -> RawTrace:
         raise ValueError(f"{p}: line {e.position + 1}: {e}") from None
 
 
+def read_lines(path, encoding: str = "ascii") -> list[str]:
+    """A text file's lines; a byte that does not decode fails naming file and line."""
+    p = Path(path)
+    data = p.read_bytes()
+    try:
+        return data.decode(encoding).splitlines()
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise ValueError(f"{p}: line {line}: byte {data[e.start]:#04x} is not {encoding}") from None
+
+
 def read_count_file(path) -> CountTable:
     """Read a count file; a count is ASCII digits only."""
     p = Path(path)

@@ -1,6 +1,8 @@
 """Train the normal-behavior db epoch by epoch until the per-epoch frequency
 changes stabilize, then persist the whole model as a versioned text file."""
 
+import functools
+import itertools
 import logging
 import math
 import re
@@ -112,46 +114,144 @@ def train(trace, counts: CountTable | None = None, config: Config | None = None)
     return model
 
 
+def _params_line(c: Config) -> str:
+    return f"w={c.window_size} S={c.epoch_size} Tt={c.train_threshold!r} TdFrac={c.detect_threshold_fraction!r}"
+
+
+def _history_line(k: int, cos: float) -> str:
+    return f"{k} {cos:.9f}"
+
+
+def _decimal(values: np.ndarray, tail: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Non-negative integers as fixed-width ASCII digits followed by tail: uint8
+    cells of shape values.shape + (width + len(tail),), and the mask that drops
+    each value's leading zeros."""
+    v = values.astype(np.min_scalar_type(values.max()), copy=False)
+    width = len(str(v.max()))
+    cells = np.empty(v.shape + (width + len(tail),), dtype=np.uint8)
+    keep = np.ones(cells.shape, dtype=bool)
+    for p in range(width):  # digit positions, most significant first
+        scale = 10 ** (width - 1 - p)
+        cells[..., p] = v // scale % 10 + ord("0")
+        if scale > 1:
+            keep[..., p] = v >= scale
+    cells[..., width:] = np.frombuffer(tail, dtype=np.uint8)
+    return cells, keep
+
+
+def _entry_text(counts: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """The entry lines "c_0 ... c_{ns-1} : freq" of an (m, ns) count matrix and
+    m frequencies, all non-negative and m >= 1, as one uint8 array of text."""
+    m = len(freqs)
+    c_cells, c_keep = _decimal(counts, b" ")
+    f_cells, f_keep = _decimal(freqs, b"\n")
+    colon = np.broadcast_to(np.frombuffer(b": ", dtype=np.uint8), (m, 2))
+    cells = np.concatenate([c_cells.reshape(m, -1), colon, f_cells], axis=1)
+    keep = np.concatenate([c_keep.reshape(m, -1), np.ones((m, 2), dtype=bool), f_keep], axis=1)
+    return cells[keep]
+
+
 def save_model(model: TrainedModel, path) -> None:
     """Write the versioned line-oriented model file with a crc32 trailer."""
-    c = model.config
-    lines = [
+    head = [
         MODEL_HEADER,
-        f"w={c.window_size} S={c.epoch_size} Tt={c.train_threshold!r} TdFrac={c.detect_threshold_fraction!r}",
+        _params_line(model.config),
         f"ns={model.index.n_s} retained={len(model.index.slots)}",
+        *model.index.slots,
+        "@" + OTHER_NAME,
+        f"entries={len(model.db)}",
     ]
-    lines.extend(model.index.slots)
-    lines.append("@" + OTHER_NAME)
-    lines.append(f"entries={len(model.db)}")
-    for bag, freq in model.db.items():
-        lines.append(" ".join(map(str, bag)) + " : " + str(freq))
-    lines.append(f"history={len(model.history)}")
-    for k, cos in enumerate(model.history, start=2):
-        lines.append(f"{k} {cos:.9f}")
-    blob = ("\n".join(lines) + "\n").encode("ascii")
-    crc = zlib.crc32(blob) & 0xFFFFFFFF
-    Path(path).write_bytes(blob + f"crc32={crc:08x}\n".encode("ascii"))
+    tail = [f"history={len(model.history)}"]
+    tail.extend(_history_line(k, cos) for k, cos in enumerate(model.history, start=2))
+    parts = itertools.chain(
+        ["".join(f"{line}\n" for line in head).encode("ascii")],
+        itertools.starmap(_entry_text, model.db.chunks()),  # one chunk at a time
+        ["".join(f"{line}\n" for line in tail).encode("ascii")],
+    )
+    crc = 0
+    with open(path, "wb") as f:
+        for part in parts:
+            crc = zlib.crc32(part, crc)
+            f.write(part)
+        f.write(f"crc32={crc:08x}\n".encode("ascii"))
 
 
 class _LineReader:
-    def __init__(self, lines: list[str]):
-        self._lines = lines
+    """The LF-terminated lines of data[:end], read in order."""
+
+    def __init__(self, data: bytes, end: int):
+        self._data = data
+        self._ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8, count=end) == ord("\n"))
         self._pos = 0
 
+    def take(self, n: int) -> bytes:
+        """The next n lines (fewer if the body runs out), each with its LF."""
+        start = int(self._ends[self._pos - 1]) + 1 if self._pos else 0
+        self._pos = min(self._pos + n, len(self._ends))
+        return self._data[start : int(self._ends[self._pos - 1]) + 1 if self._pos else 0]
+
     def next(self, section: str) -> str:
-        if self._pos >= len(self._lines):
+        line = self.take(1)
+        if not line:
             raise ModelFormatError(section, "file truncated")
-        line = self._lines[self._pos]
-        self._pos += 1
-        return line
+        return line[:-1].decode("ascii")
 
     def exhausted(self) -> bool:
-        return self._pos >= len(self._lines)
+        return self._pos >= len(self._ends)
+
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+@functools.cache
+def _entry_lines(n_s: int) -> re.Pattern:
+    """A run of entry lines exactly as _entry_text writes them (possessive:
+    a line matches in one way only, so backtracking could not help)."""
+    return re.compile(rb"(?:(?:0 |[1-9][0-9]*+ ){%d}+: [1-9][0-9]*+\n)*+" % n_s)
+
+
+def _entry_error(line: str, n_s: int, w: int) -> str:
+    """Why an entry line is rejected: the first check it fails."""
+    if ":" not in line:
+        return "missing ':' separator"
+    m = re.fullmatch(r"((?:-?[0-9]+ )+): (-?[0-9]+)", line)
+    if m is None or int(m.group(2)) > _INT64_MAX:
+        return f"unparseable {line!r}"
+    counts, freq = [int(t) for t in m.group(1).split()], int(m.group(2))
+    if len(counts) != n_s:
+        return f"{len(counts)} counts, expected {n_s}"
+    if freq < 1 or min(counts) < 0:
+        return "negative value"
+    if sum(counts) != w:
+        return f"counts sum to {sum(counts)}, expected w={w}"
+    return f"unparseable {line!r}"  # leading zeros, "-0" and the like
+
+
+def _parse_entries(block: bytes, n_s: int, w: int, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, ns) counts and m frequencies of a block of m LF-terminated entry
+    lines. Only the text _entry_text writes is accepted; an error names the
+    first bad entry, numbered from first, and the first check it fails."""
+    ok = _entry_lines(n_s).match(block).end()  # the canonical lines before the first other
+    n_ok = block.count(b"\n", 0, ok)
+    # Canonical digits only, so fromstring reads ns + 1 values a line; it
+    # saturates a value beyond uint64, which the row checks reject.
+    rows = np.fromstring(block[:ok].replace(b":", b" "), dtype=np.uint64, sep=" ").reshape(n_ok, n_s + 1)
+    counts, freqs = rows[:, :n_s], rows[:, n_s]
+    bad = (counts > w).any(axis=1)  # bounds the sum below
+    bad |= counts.sum(axis=1) != w
+    bad |= freqs > _INT64_MAX
+    i = int(np.argmax(bad)) if bad.any() else n_ok
+    if i == n_ok and ok == len(block):
+        return counts.astype(np.min_scalar_type(w)), freqs.astype(np.int64)
+    line = block.split(b"\n")[i].decode("ascii")
+    raise ModelFormatError("entries", f"entry {first + i}: {_entry_error(line, n_s, w)}")
 
 
 def load_model(path) -> TrainedModel:
     """Read a model file written by save_model, verifying version, structure,
-    and checksum; failures name the offending section."""
+    and checksum; failures name the offending section. Only the text
+    save_model writes is accepted, so saving a loaded model reproduces its
+    file byte for byte."""
     data = Path(path).read_bytes()
     newline = data.find(b"\n")
     first = data[:newline] if newline >= 0 else data
@@ -169,13 +269,11 @@ def load_model(path) -> TrainedModel:
     if zlib.crc32(data[:marker]) & 0xFFFFFFFF != declared:
         raise ModelFormatError("checksum", "crc32 mismatch; file corrupted")
 
-    try:
-        body = data[:marker].decode("ascii").split("\n")
-    except UnicodeDecodeError as e:
-        raise ModelFormatError("structure", f"non-ASCII byte at offset {e.start}") from None
-    if body and body[-1] == "":
-        body.pop()
-    rd = _LineReader(body)
+    # The trailer parsed, so a non-ASCII byte lies in the body.
+    if not data.isascii():
+        offset = int(np.argmax(np.frombuffer(data, dtype=np.uint8) > 127))
+        raise ModelFormatError("structure", f"non-ASCII byte at offset {offset}")
+    rd = _LineReader(data, marker)
     rd.next("version")
 
     params = rd.next("params")
@@ -193,10 +291,12 @@ def load_model(path) -> TrainedModel:
         )
     except ValueError as e:
         raise ModelFormatError("params", str(e)) from None
+    if params != _params_line(config):
+        raise ModelFormatError("params", f"bad parameter line {params!r}")
 
     sizes = rd.next("index")
     m = re.fullmatch(r"ns=(\d+) retained=(\d+)", sizes)
-    if m is None:
+    if m is None or sizes != f"ns={int(m.group(1))} retained={int(m.group(2))}":
         raise ModelFormatError("index", f"bad size line {sizes!r}")
     n_s, retained = int(m.group(1)), int(m.group(2))
     if n_s != retained + 1:
@@ -214,37 +314,23 @@ def load_model(path) -> TrainedModel:
 
     header = rd.next("entries")
     m = re.fullmatch(r"entries=(\d+)", header)
-    if m is None:
+    if m is None or header != f"entries={int(m.group(1))}":
         raise ModelFormatError("entries", f"bad entry header {header!r}")
     n_entries = int(m.group(1))
-    w = config.window_size
-    key_chunks = []
-    # Bounded memory: at most one entry per line, one chunk of tuples at a time.
-    freqs = np.zeros(min(n_entries, len(body)), dtype=np.int64)
+    key_chunks, freq_chunks = [], []
+    # Bounded memory: one chunk of entry lines at a time, and a forged
+    # entries= count fails at the first chunk the file cannot fill.
     for lo in range(0, n_entries, CHUNK):
-        rows = []
-        for i in range(lo, min(lo + CHUNK, n_entries)):
-            line = rd.next("entries")
-            counts_part, sep, freq_part = line.rpartition(":")
-            if not sep:
-                raise ModelFormatError("entries", f"entry {i}: missing ':' separator")
-            try:
-                bag = tuple(map(int, counts_part.split()))
-                freqs[i] = int(freq_part)
-            except (ValueError, OverflowError):
-                raise ModelFormatError("entries", f"entry {i}: unparseable {line!r}") from None
-            if len(bag) != n_s:
-                raise ModelFormatError("entries", f"entry {i}: {len(bag)} counts, expected {n_s}")
-            if freqs[i] < 1 or min(bag) < 0:
-                raise ModelFormatError("entries", f"entry {i}: negative value")
-            if sum(bag) != w:
-                raise ModelFormatError("entries", f"entry {i}: counts sum to {sum(bag)}, expected w={w}")
-            rows.append(bag)
-        key_chunks.append(Bags.from_counts(rows).keys)
+        want = min(CHUNK, n_entries - lo)
+        counts, freqs = _parse_entries(rd.take(want), n_s, config.window_size, lo)
+        if len(freqs) < want:
+            raise ModelFormatError("entries", "file truncated")
+        key_chunks.append(Bags.from_counts(counts).keys)
+        freq_chunks.append(freqs)
     db = BehaviorDb()
     if n_entries:
         keys = np.concatenate(key_chunks)
-        db.insert_many(Bags(keys, n_s), freqs)
+        db.insert_many(Bags(keys, n_s), np.concatenate(freq_chunks))
         if len(db) != n_entries:
             _, first = np.unique(keys, return_index=True)
             dup = int(np.setdiff1d(np.arange(n_entries), first)[0])
@@ -253,7 +339,7 @@ def load_model(path) -> TrainedModel:
 
     header = rd.next("history")
     m = re.fullmatch(r"history=(\d+)", header)
-    if m is None:
+    if m is None or header != f"history={int(m.group(1))}":
         raise ModelFormatError("history", f"bad history header {header!r}")
     history = []
     for i in range(int(m.group(1))):
@@ -265,6 +351,8 @@ def load_model(path) -> TrainedModel:
             raise ModelFormatError("history", f"record {i}: unparseable {line!r}") from None
         if k != i + 2:
             raise ModelFormatError("history", f"record {i}: epoch {k}, expected {i + 2}")
+        if line != _history_line(k, cos):
+            raise ModelFormatError("history", f"record {i}: unparseable {line!r}")
         history.append(cos)
     if not rd.exhausted():
         raise ModelFormatError("structure", "unexpected trailing content before checksum")

@@ -7,6 +7,7 @@ not an oracle.
 """
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -99,3 +100,53 @@ def reference_cosine(a, b):
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)
+
+
+def entry_line(bag, freq):
+    """One model-file entry line, written token by token."""
+    return " ".join(map(str, bag)) + " : " + str(freq)
+
+
+_ENTRY_SHAPE = re.compile(r"-?[0-9]+( -?[0-9]+)* : -?[0-9]+")
+
+
+def parse_entry_line(line, n_s, w):
+    """(bag, freq) of one entry line, parsed token by token, or ValueError with
+    the loader's reason. Only entry_line's own text is accepted."""
+    counts_part, sep, freq_part = line.rpartition(":")
+    if not sep:
+        raise ValueError("missing ':' separator")
+    if not _ENTRY_SHAPE.fullmatch(line):
+        raise ValueError(f"unparseable {line!r}")
+    bag = tuple(map(int, counts_part.split()))
+    freq = int(freq_part)
+    if freq > 2**63 - 1:  # the frequency is an int64
+        raise ValueError(f"unparseable {line!r}")
+    if len(bag) != n_s:
+        raise ValueError(f"{len(bag)} counts, expected {n_s}")
+    if freq < 1 or min(bag) < 0:
+        raise ValueError("negative value")
+    if sum(bag) != w:
+        raise ValueError(f"counts sum to {sum(bag)}, expected w={w}")
+    if entry_line(bag, freq) != line:
+        raise ValueError(f"unparseable {line!r}")
+    return bag, freq
+
+
+def parse_entry_section(lines, n_entries, n_s, w):
+    """The (bag, freq) entries a model body's lines after `entries=` hold,
+    line by line, or ValueError with the loader's message for the first bad one."""
+    entries = []
+    for i, line in enumerate(lines[:n_entries]):
+        try:
+            entries.append(parse_entry_line(line, n_s, w))
+        except ValueError as e:
+            raise ValueError(f"entry {i}: {e}") from None
+    if len(entries) < n_entries:
+        raise ValueError("file truncated")
+    seen = set()
+    for i, (bag, _) in enumerate(entries):
+        if bag in seen:
+            raise ValueError(f"entry {i}: duplicate bag")
+        seen.add(bag)
+    return entries

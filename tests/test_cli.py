@@ -310,6 +310,17 @@ def test_invalid_config_values_exit_1_naming_the_flag(tmp_path, capsys):
         assert needle in err, err
 
 
+def test_undecodable_config_file_names_file_and_line(tmp_path, capsys):
+    trace = tmp_path / "ab.trace"
+    write_ab_trace(trace)
+    cfg = tmp_path / "latin1.conf"
+    cfg.write_bytes(b"epoch-size=4\nwindow=\xff\n")
+    code, _, err = run(capsys, "train", str(trace), "--model", str(tmp_path / "m"),
+                       "--config", str(cfg))
+    assert code == 1
+    assert f"config: {cfg}: line 2: byte 0xff is not utf-8" in err
+
+
 def test_invalid_config_granularity_exits_1(tmp_path, capsys):
     report = tmp_path / "r.report"
     report.write_text("0 10 0 1.0 0\ntotal epochs=1\n")

@@ -209,12 +209,14 @@ def test_format_report_rows():
         ("0 x 2 0.4 0\ntotal epochs=1 windows=3 mismatches=2 anomalous_epochs=0 trace_anomalous=0\n",
          "line 1: bad number"),
         ("0 3 2 0.4 0\n", "missing summary line"),
+        ("0 3 0 0.4 0\ntotal epochs=1 windows=3 mismatches=0 anomalous_epochs=0 trace_anomalous=0 caf\xc3\xa9\n",
+         "line 2: byte 0xc3 is not ascii"),
     ],
-    ids=["totals", "trace_anomalous", "flag", "number", "no-summary"],
+    ids=["totals", "trace_anomalous", "flag", "number", "no-summary", "non-ascii"],
 )
 def test_read_report_rejects_inconsistent_file(tmp_path, text, match):
     path = tmp_path / "r.report"
-    path.write_text(text)
+    path.write_bytes(text.encode("latin-1"))  # one byte per character
     with pytest.raises(ValueError, match=match) as exc:
         read_report_file(path)
     assert str(exc.value).startswith(f"{path}: ")

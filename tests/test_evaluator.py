@@ -149,3 +149,11 @@ def test_labels_file_rejects_non_integer_index(tmp_path, index):
     with pytest.raises(ValueError) as exc:
         read_labels(path)
     assert str(exc.value).startswith(f"{path}: line 2: epoch index")
+
+
+def test_labels_file_rejects_non_ascii_label(tmp_path):
+    path = tmp_path / "bad.labels"
+    path.write_bytes(b"0\tnorm\xc3\xa9l\n")
+    with pytest.raises(ValueError) as exc:
+        read_labels(path)
+    assert str(exc.value) == f"{path}: line 1: byte 0xc3 is not ascii"

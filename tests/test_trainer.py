@@ -5,17 +5,27 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from boscids.bosc import Config, FrozenDbError
+from boscids.bosc import CHUNK, Bags, BehaviorDb, Config, FrozenDbError
+from boscids.catalog import SyscallIndex
 from boscids.trace_ingest import RawTrace, count_table
 from boscids.trainer import (
     ModelFormatError,
+    TrainedModel,
     cosine_similarity,
     load_model,
     save_model,
     train,
 )
-from helpers import insert_counts, reference_cosine
+from helpers import (
+    brute_force_bag,
+    entry_line,
+    insert_counts,
+    parse_entry_section,
+    reference_cosine,
+)
 
 logging.getLogger("boscids").setLevel(logging.ERROR)
 
@@ -237,13 +247,172 @@ def reseal(path, old: bytes, new: bytes):
     path.write_bytes(body + f"crc32={zlib.crc32(body) & 0xFFFFFFFF:08x}\n".encode("ascii"))
 
 
-def test_load_rejects_entry_not_summing_to_window(tmp_path):
+# The fixture's one entry is "1 1 0 : 9" (w=2, ns=3).
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (b"\n1 1 0 : 9\n", b"\n1 1 0 9\n", "entry 0: missing ':' separator"),
+        (b"\n1 1 0 : 9\n", b"\n1 x 0 : 9\n", "entry 0: unparseable '1 x 0 : 9'"),
+        (b"\n1 1 0 : 9\n", b"\n1 1 0 0 : 9\n", "entry 0: 4 counts, expected 3"),
+        (b"\n1 1 0 : 9\n", b"\n2 1 -1 : 9\n", "entry 0: negative value"),
+        (b"\n1 1 0 : 9\n", b"\n1 1 0 : 0\n", "entry 0: negative value"),
+        (b"\n1 1 0 : 9\n", b"\n5 0 0 : 9\n", "entry 0: counts sum to 5, expected w=2"),
+        (b"\n1 1 0 : 9\n", b"\n1 1 0 : 9223372036854775808\n",
+         "entry 0: unparseable '1 1 0 : 9223372036854775808'"),
+        # Sums that wrap around in 64 bits, to w itself in the first.
+        (b"\n1 1 0 : 9\n", b"\n9223372036854775553 9223372036854775553 512 : 9\n",
+         "entry 0: counts sum to 18446744073709551618, expected w=2"),
+        (b"\n1 1 0 : 9\n", b"\n18446744073709551617 1 0 : 9\n",
+         "entry 0: counts sum to 18446744073709551618, expected w=2"),
+        (b"entries=1\n1 1 0 : 9\n", b"entries=2\n1 1 0 : 9\n0 2 0 : 0\n", "entry 1: negative value"),
+        # Accepted before entries had to be the text save_model writes.
+        (b"\n1 1 0 : 9\n", b"\n01 1 0 : 9\n", "entry 0: unparseable '01 1 0 : 9'"),
+        (b"\n1 1 0 : 9\n", b"\n+1 1 0 : 9\n", "entry 0: unparseable '+1 1 0 : 9'"),
+        (b"\n1 1 0 : 9\n", b"\n1 1 0 : 1_0\n", "entry 0: unparseable '1 1 0 : 1_0'"),
+        (b"\n1 1 0 : 9\n", b"\n1  1 0 : 9\n", "entry 0: unparseable '1  1 0 : 9'"),
+    ],
+    ids=["missing-colon", "unparseable", "count", "negative", "freq-0", "sum", "freq-beyond-int64",
+         "sum-wraps-to-w", "count-beyond-uint64",
+         "second-entry", "leading-zero", "plus-sign", "underscore", "double-space"],
+)
+def test_load_rejects_bad_entry(tmp_path, old, new, message):
     p = tmp_path / "m.model"
-    save_model(model_fixture(), p)  # w=2, one entry "1 1 0 : <freq>"
-    reseal(p, b"\n1 1 0 : ", b"\n5 0 0 : ")
-    with pytest.raises(ModelFormatError, match="sum") as exc:
+    save_model(model_fixture(), p)
+    reseal(p, old, new)
+    with pytest.raises(ModelFormatError) as exc:
         load_model(p)
     assert exc.value.section == "entries"
+    assert str(exc.value) == f"entries: {message}"
+
+
+# Each was accepted before a loaded model had to save back to the same bytes.
+@pytest.mark.parametrize(
+    "old, new, section",
+    [
+        (b"\nw=2 S=4 ", b"\nw=02 S=4 ", "params"),
+        (b" Tt=0.99 ", b" Tt=0.990 ", "params"),
+        (b"\nns=3 retained=2\n", b"\nns=03 retained=2\n", "index"),
+        (b"\nentries=1\n", b"\nentries=01\n", "entries"),
+        (b"\nhistory=2\n", b"\nhistory=02\n", "history"),
+        (b"\n2 1.000000000\n", b"\n2 1.0000000000\n", "history"),
+        (b"\n2 1.000000000\n", b"\n2  1.000000000\n", "history"),
+    ],
+    ids=["w-leading-zero", "Tt-trailing-zero", "ns-leading-zero", "entries-leading-zero",
+         "history-leading-zero", "cos-tenth-digit", "record-double-space"],
+)
+def test_load_rejects_non_canonical_header(tmp_path, old, new, section):
+    p = tmp_path / "m.model"
+    save_model(model_fixture(), p)
+    reseal(p, old, new)
+    with pytest.raises(ModelFormatError) as exc:
+        load_model(p)
+    assert exc.value.section == section
+
+
+def model_of(n_s, w, rows, freqs):
+    """A model over slots s0, s1, ... whose db holds rows with freqs, in order."""
+    db = BehaviorDb()
+    db.insert_many(Bags.from_counts(rows), np.array(freqs, dtype=np.int64))
+    db.freeze()
+    index = SyscallIndex(tuple(f"s{i}" for i in range(n_s - 1)))
+    return TrainedModel(index, db, Config(window_size=w, epoch_size=max(w, 50)), [0.5, 1.0])
+
+
+@st.composite
+def entry_tables(draw, max_freq=2**63 - 1):
+    """(n_s, w, distinct bags in insertion order, their frequencies)."""
+    n_s = draw(st.integers(1, 8))
+    w = draw(st.integers(1, 14))
+    windows = draw(st.lists(st.lists(st.integers(0, n_s - 1), min_size=w, max_size=w),
+                            min_size=1, max_size=30))
+    rows = list(dict.fromkeys(brute_force_bag(win, n_s) for win in windows))
+    freqs = draw(st.lists(st.integers(1, max_freq), min_size=len(rows), max_size=len(rows)))
+    return n_s, w, rows, freqs
+
+
+def _many_entries(n_s=12, w=10, n=CHUNK + 5):
+    rng = np.random.default_rng(41)
+    drawn = rng.multinomial(w, [1 / n_s] * n_s, size=3 * n).tolist()
+    rows = list(dict.fromkeys(map(tuple, drawn)))[:n]
+    return n_s, w, rows, rng.integers(1, 10**12, size=len(rows)).tolist()
+
+
+def entry_lines(data: bytes):
+    """The body lines after a model file's `entries=` line, and its entry count."""
+    lines = data[: data.rfind(b"crc32=")].decode("ascii").split("\n")
+    at = next(i for i, line in enumerate(lines) if line.startswith("entries="))
+    return lines[at + 1 :], int(lines[at].removeprefix("entries="))
+
+
+@settings(max_examples=60, deadline=None)
+@given(entry_tables())
+@example((1, 12, [(12,)], [7]))  # one slot: a count of 12 under a single-syscall window
+@example((3, 10, [(10, 0, 0), (0, 3, 7)], [123456789, 1]))
+@example(_many_entries())  # more than one chunk
+def test_model_entries_equal_line_by_line_oracles(tmp_path_factory, case):
+    n_s, w, rows, freqs = case
+    p = tmp_path_factory.mktemp("m") / "m.model"
+    save_model(model_of(n_s, w, rows, freqs), p)
+    data = p.read_bytes()
+    lines, n_entries = entry_lines(data)
+    assert n_entries == len(rows)
+    assert lines[:n_entries] == [entry_line(bag, freq) for bag, freq in zip(rows, freqs)]
+    loaded = load_model(p)
+    assert list(loaded.db.items()) == parse_entry_section(lines, n_entries, n_s, w)
+    save_model(loaded, p)
+    assert p.read_bytes() == data
+
+
+@settings(max_examples=200, deadline=None)
+@given(entry_tables(max_freq=10**15), st.data())
+def test_load_rejects_an_edited_entry_as_the_oracle_does(tmp_path_factory, case, data):
+    n_s, w, rows, freqs = case
+    p = tmp_path_factory.mktemp("m") / "m.model"
+    save_model(model_of(n_s, w, rows, freqs), p)
+    j = data.draw(st.integers(0, len(rows) - 1))
+    line = entry_line(rows[j], freqs[j])
+    edit = data.draw(st.sampled_from(["replace", "insert", "delete", "big"] + ["wrap"] * (n_s > 1)))
+    tokens = line.split(" ")  # ns counts, ":", the frequency
+    if edit == "big":  # a count or the frequency near where 64 bits wrap or saturate
+        k = data.draw(st.sampled_from([*range(n_s), n_s + 1]))
+        tokens[k] = str(data.draw(st.sampled_from([2**63, 2**64])) + data.draw(st.integers(-2 * w, 2 * w)))
+        edited = " ".join(tokens)
+    elif edit == "wrap":  # two counts grown by 2**64 in all, so a 64-bit sum is still w
+        a, b = data.draw(st.lists(st.integers(0, n_s - 1), min_size=2, max_size=2, unique=True))
+        d = data.draw(st.integers(-w, w))
+        tokens[a] = str(int(tokens[a]) + 2**63 + d)
+        tokens[b] = str(int(tokens[b]) + 2**63 - d)
+        edited = " ".join(tokens)
+    else:
+        k = data.draw(st.integers(0, len(line)))
+        char = data.draw(st.sampled_from("0123456789 :-+_x\n"))
+        tail = line[k + 1 :] if edit != "insert" else line[k:]
+        edited = line[:k] + ("" if edit == "delete" else char) + tail
+    reseal(p, f"\n{line}\n".encode("ascii"), f"\n{edited}\n".encode("ascii"))
+    lines, n_entries = entry_lines(p.read_bytes())
+    try:
+        expected = parse_entry_section(lines, n_entries, n_s, w)
+    except ValueError as e:
+        with pytest.raises(ModelFormatError) as exc:
+            load_model(p)
+        assert str(exc.value) == f"entries: {e}"
+    else:
+        if "\n" in edited:  # valid entries, then the split-off rest as history header
+            with pytest.raises(ModelFormatError, match="^history: bad history header"):
+                load_model(p)
+        else:
+            assert list(load_model(p).db.items()) == expected
+
+
+def test_load_numbers_entries_across_chunks(tmp_path):
+    n_s, w, rows, freqs = _many_entries()
+    p = tmp_path / "m.model"
+    save_model(model_of(n_s, w, rows, freqs), p)
+    j = CHUNK + 3
+    line = entry_line(rows[j], freqs[j])
+    reseal(p, f"\n{line}\n".encode("ascii"), f"\n0{line}\n".encode("ascii"))  # a leading zero
+    with pytest.raises(ModelFormatError, match=f"^entries: entry {j}: unparseable "):
+        load_model(p)
 
 
 def test_load_rejects_duplicate_entry(tmp_path):
