@@ -38,11 +38,11 @@ inj = InjectionSpec(frozenset({6, 12, 13, 25}), "novel_names", 0.4)
 suspect, labels = gen_anomalous(replace(source, seed=708), 30 * S, inj, S)
 report = detect(model, suspect)
 
-for verdict, label in zip(report.verdicts, labels):
+for e, (verdict, label) in enumerate(zip(report.verdicts, labels)):
     marker = " <-- flagged" if verdict.anomalous else ""
     truth = "attack" if label == "malicious" else "normal"
     if verdict.anomalous or label == "malicious":
-        print(f"  epoch {verdict.epoch_index:2d} [{truth}]: "
+        print(f"  epoch {e:2d} [{truth}]: "
               f"{verdict.mismatches:5d} mismatches vs threshold {verdict.threshold_used:.0f}{marker}")
 
 clean = [v.mismatches for v, lab in zip(report.verdicts, labels) if lab == "normal"]

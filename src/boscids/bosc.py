@@ -132,19 +132,16 @@ class BehaviorDb:
     """Bag frequencies in first-insertion order, which is stable under later
     increments.
 
-    Holds the bag keys in insertion order, their int64 frequencies, and a
-    sorted copy of the keys (with each one's insertion position) that every
-    lookup searches. n_s and w come from the first insert. Single-writer
-    during training; freeze() makes it safe for any number of concurrent
-    readers.
+    Holds the bag keys sorted, each one's insertion position, and the int64
+    frequencies in insertion order. n_s and w (the key size) come from the
+    first insert. Single-writer during training; freeze() makes it safe for
+    any number of concurrent readers.
     """
 
     def __init__(self):
         self._n_s: int | None = None
-        self._w: int | None = None
-        self._keys = np.zeros(0, dtype=np.void)
         self._freq = np.zeros(0, dtype=np.int64)
-        self._sorted = self._keys
+        self._sorted = np.zeros(0, dtype=np.void)
         self._sorted_pos = np.zeros(0, dtype=np.int64)
         self._frozen = False
 
@@ -154,8 +151,10 @@ class BehaviorDb:
     def chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(count matrix, frequencies) of up to CHUNK bags at a time, in
         insertion order."""
+        keys = np.empty_like(self._sorted)
+        keys[self._sorted_pos] = self._sorted
         for lo in range(0, len(self), CHUNK):
-            yield Bags(self._keys[lo : lo + CHUNK], self._n_s).counts(), self._freq[lo : lo + CHUNK]
+            yield Bags(keys[lo : lo + CHUNK], self._n_s).counts(), self._freq[lo : lo + CHUNK]
 
     def items(self) -> Iterator[tuple[BoSC, int]]:
         """(count tuple, frequency) pairs in insertion order."""
@@ -165,7 +164,7 @@ class BehaviorDb:
     def positions(self, bags: Bags) -> np.ndarray:
         """Each bag's insertion position, or -1 where the db lacks it."""
         pos = np.full(len(bags), -1, dtype=np.int64)
-        if (bags.n_s, bags.w) != (self._n_s, self._w) or not len(self):
+        if (bags.n_s, bags.keys.dtype) != (self._n_s, self._sorted.dtype) or not len(self):
             return pos
         idx = np.searchsorted(self._sorted, bags.keys)
         at = np.minimum(idx, len(self) - 1)
@@ -184,12 +183,10 @@ class BehaviorDb:
         if self._frozen:
             raise FrozenDbError("behavior db is frozen")
         if self._n_s is None:
-            self._n_s, self._w = bags.n_s, bags.w
-            self._keys = self._sorted = bags.keys[:0]
-        elif (bags.n_s, bags.w) != (self._n_s, self._w):
-            raise ValueError(
-                f"bags over n_s={bags.n_s}, w={bags.w} do not fit a db of n_s={self._n_s}, w={self._w}"
-            )
+            self._n_s, self._sorted = bags.n_s, bags.keys[:0]
+        elif (bags.n_s, bags.keys.dtype) != (self._n_s, self._sorted.dtype):
+            w = self._sorted.dtype.itemsize // 4
+            raise ValueError(f"bags over n_s={bags.n_s}, w={bags.w} do not fit a db of n_s={self._n_s}, w={w}")
         pos = self.positions(bags)
         new = pos < 0
         if new.any():
@@ -201,7 +198,6 @@ class BehaviorDb:
             at = np.searchsorted(self._sorted, uniq)
             self._sorted = np.insert(self._sorted, at, uniq)
             self._sorted_pos = np.insert(self._sorted_pos, at, new_pos)
-            self._keys = np.concatenate([self._keys, uniq[order]])
             self._freq = np.concatenate([self._freq, np.zeros(len(uniq), dtype=np.int64)])
         deltas = np.zeros(len(self), dtype=np.int64)
         np.add.at(deltas, pos, multiplicities)

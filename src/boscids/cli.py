@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from . import detector, evaluator, synth, trace_ingest, trainer
@@ -42,7 +43,7 @@ def _load_config_file(path: str) -> dict[str, str]:
     if not p.is_file():
         raise CliError(f"config: file not found: {path}")
     try:
-        lines = trace_ingest.read_lines(p, "utf-8")
+        lines = trace_ingest.read_text(p, "utf-8").splitlines()
     except ValueError as e:
         raise CliError(f"config: {e}") from None
     for i, line in enumerate(lines, start=1):
@@ -181,17 +182,16 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    frac = args.detect_fraction
-    if frac is not None and not 0.0 < frac <= 1.0:
-        raise CliError("detect_fraction: must be in (0, 1]")
     if args.jobs < 1:
         raise CliError("jobs: must be a positive integer")
     if args.report and len(args.traces) > 1:
         raise CliError("report: --report accepts a single input trace")
     model = trainer.load_model(args.model)
+    if args.detect_fraction is not None:
+        model.config = replace(model.config, detect_threshold_fraction=args.detect_fraction)
 
     def scan(path: str) -> detector.DetectionReport:
-        return detector.detect(model, trace_ingest.read_trace_file(path), frac)
+        return detector.detect(model, trace_ingest.read_trace_file(path))
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         reports = list(pool.map(scan, args.traces))
@@ -220,10 +220,10 @@ def _cmd_eval(args) -> int:
         raise CliError("labels: need exactly one label file per report")
     reports = {}
     pairs = []
+    # Keyed by the path as given: reports in two directories may share a stem.
     for rpath, lpath in zip(args.report, args.labels):
-        trace_id = Path(rpath).stem
-        reports[trace_id] = detector.read_report_file(rpath)
-        pairs.append((trace_id, evaluator.read_labels(lpath)))
+        reports[rpath] = detector.read_report_file(rpath)
+        pairs.append((rpath, evaluator.read_labels(lpath)))
     corpus = evaluator.LabeledCorpus.from_pairs(pairs)
     metrics = evaluator.compute_metrics(reports, corpus, args.granularity)
     print(evaluator.format_metrics(metrics), end="")

@@ -6,7 +6,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .detector import DetectionReport
-from .trace_ingest import read_lines
+from .trace_ingest import read_text
 
 LABEL_NORMAL = "normal"
 LABEL_MALICIOUS = "malicious"
@@ -40,8 +40,14 @@ class Metrics:
     n_fp: int
     n_malicious: int
     n_normal: int
-    tpr: float | None
-    fpr: float | None
+
+    @property
+    def tpr(self) -> float | None:
+        return self.n_tp / self.n_malicious if self.n_malicious else None
+
+    @property
+    def fpr(self) -> float | None:
+        return self.n_fp / self.n_normal if self.n_normal else None
 
 
 def compute_metrics(reports: Mapping[str, DetectionReport], corpus: LabeledCorpus,
@@ -79,9 +85,7 @@ def compute_metrics(reports: Mapping[str, DetectionReport], corpus: LabeledCorpu
                 else:
                     n_normal += verdict.windows_scanned
                     n_fp += verdict.mismatches
-    tpr = n_tp / n_malicious if n_malicious > 0 else None
-    fpr = n_fp / n_normal if n_normal > 0 else None
-    return Metrics(granularity, n_tp, n_fp, n_malicious, n_normal, tpr, fpr)
+    return Metrics(granularity, n_tp, n_fp, n_malicious, n_normal)
 
 
 def _rate(value: float | None) -> str:
@@ -114,7 +118,7 @@ def write_labels(labels: Iterable[str], path) -> None:
 def read_labels(path) -> tuple[str, ...]:
     p = Path(path)
     labels = []
-    for i, line in enumerate(read_lines(p)):
+    for i, line in enumerate(read_text(p).splitlines()):
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError(f"{p}: line {i + 1}: expected `epoch_index<TAB>label`")

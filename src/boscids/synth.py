@@ -45,6 +45,10 @@ NOVEL_SYSCALLS = (
 
 INJECTION_MODES = ("novel_names", "shuffled_transitions", "burst_repeat")
 
+# make_source's hot loop length and the spacing of its cold-walk return states.
+HOT_STATES = 5
+RETURN_SPACING = 10
+
 _INJECT_STREAM_TAG = 0xB05C
 
 
@@ -138,30 +142,25 @@ def _cum_of(weights: np.ndarray) -> list[float]:
 
 
 def make_source(n_names: int = 64, zipf_s: float = 1.2, seed: int = 0,
-                hot_states: int = 5, excursion: float = 0.075,
-                return_spacing: int = 10) -> SourceSpec:
+                excursion: float = 0.075) -> SourceSpec:
     """Build a SourceSpec shaped like a real server workload: a tight hot
     loop with occasional excursions through the rest of the alphabet.
 
-    The first hot_states names cycle with probability 1-excursion and
+    The first HOT_STATES names cycle with probability 1-excursion and
     otherwise jump into the cold section at a zipf-weighted entry point.
     Cold states walk deterministically onward until the next return state
-    (every return_spacing-th), which drops back to the loop head; that keeps
+    (every RETURN_SPACING-th), which drops back to the loop head; that keeps
     the window vocabulary finite while the zipf entry weights spread its
     discovery over many epochs. The matrix depends only on these arguments,
     so the seed purely drives the sampled walk.
     """
     if n_names < 1:
         raise ValueError("n_names must be positive")
-    if hot_states < 1:
-        raise ValueError("hot_states must be positive")
     if not 0.0 < excursion < 1.0:
         raise ValueError("excursion must be in (0, 1)")
-    if return_spacing < 1:
-        raise ValueError("return_spacing must be positive")
     alphabet = list(COMMON_SYSCALLS[:n_names])
     alphabet += [f"syscall_{i}" for i in range(len(alphabet), n_names)]
-    h = min(hot_states, n_names)
+    h = min(HOT_STATES, n_names)
     matrix = np.zeros((n_names, n_names), dtype=np.float64)
     cold = list(range(h, n_names))
     if cold:
@@ -174,7 +173,7 @@ def make_source(n_names: int = 64, zipf_s: float = 1.2, seed: int = 0,
         matrix[i, nxt] = 1.0 - excursion
         matrix[i, cold] += excursion * entry
     for c, j in enumerate(cold):
-        if (c + 1) % return_spacing == 0 or j == n_names - 1:
+        if (c + 1) % RETURN_SPACING == 0 or j == n_names - 1:
             matrix[j, 0] = 1.0
         else:
             matrix[j, j + 1] = 1.0

@@ -92,9 +92,6 @@ class CountTable:
     def __len__(self):
         return len(self.entries)
 
-    def total(self) -> int:
-        return sum(c for _, c in self.entries)
-
     @classmethod
     def from_counts(cls, counts: dict[str, int]) -> "CountTable":
         return cls(tuple(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))))
@@ -186,12 +183,12 @@ def read_trace_file(path) -> RawTrace:
         raise ValueError(f"{p}: line {e.position + 1}: {e}") from None
 
 
-def read_lines(path, encoding: str = "ascii") -> list[str]:
-    """A text file's lines; a byte that does not decode fails naming file and line."""
+def read_text(path, encoding: str = "ascii") -> str:
+    """A text file's contents; a byte that does not decode fails naming file and line."""
     p = Path(path)
     data = p.read_bytes()
     try:
-        return data.decode(encoding).splitlines()
+        return data.decode(encoding)
     except UnicodeDecodeError as e:
         line = data.count(b"\n", 0, e.start) + 1
         raise ValueError(f"{p}: line {line}: byte {data[e.start]:#04x} is not {encoding}") from None

@@ -1,6 +1,7 @@
 from pathlib import Path
 
 from boscids.cli import main
+from boscids.evaluator import write_labels
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -171,6 +172,25 @@ def test_eval_misaligned_pairs_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_eval_pairs_reports_sharing_a_stem_with_their_own_labels(tmp_path, capsys):
+    # a/x.report flags both of its injected epochs; b/x.report is clean
+    rows = {"a": ("0 9 0 1.0 0", "1 9 8 1.0 1", "2 9 7 1.0 1"),
+            "b": ("0 9 0 1.0 0", "1 9 0 1.0 0", "2 9 0 1.0 0")}
+    totals = {"a": "epochs=3 windows=27 mismatches=15 anomalous_epochs=2 trace_anomalous=1",
+              "b": "epochs=3 windows=27 mismatches=0 anomalous_epochs=0 trace_anomalous=0"}
+    labels = {"a": ["normal", "malicious", "malicious"], "b": ["normal"] * 3}
+    argv = []
+    for d in ("a", "b"):
+        (tmp_path / d).mkdir()
+        report = tmp_path / d / "x.report"
+        report.write_text("".join(r + "\n" for r in rows[d]) + f"total {totals[d]}\n")
+        write_labels(labels[d], tmp_path / f"{d}.labels")
+        argv += ["--report", str(report), "--labels", str(tmp_path / f"{d}.labels")]
+    code, out, _ = run(capsys, "eval", *argv)
+    assert code == 0
+    assert out.startswith("granularity=epoch tp=2 fp=0 malicious=2 normal=4 tpr=1.000000 fpr=0.000000\n")
+
+
 def test_detect_fraction_override_flag(tmp_path, capsys):
     trace = tmp_path / "ab.trace"
     write_ab_trace(trace)
@@ -182,6 +202,10 @@ def test_detect_fraction_override_flag(tmp_path, capsys):
     code, _, _ = run(capsys, "detect", str(bad), "--model", str(model),
                      "--detect-fraction", "1.0")
     assert code == 0  # loosest threshold flags nothing
+    code, _, err = run(capsys, "detect", str(bad), "--model", str(model),
+                       "--detect-fraction", "1.5")
+    assert code == 1
+    assert "detect_threshold_fraction must be in (0, 1]" in err
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
@@ -323,7 +347,7 @@ def test_undecodable_config_file_names_file_and_line(tmp_path, capsys):
 
 def test_invalid_config_granularity_exits_1(tmp_path, capsys):
     report = tmp_path / "r.report"
-    report.write_text("0 10 0 1.0 0\ntotal epochs=1\n")
+    report.write_text("0 10 0 1.0 0\ntotal epochs=1 windows=10 mismatches=0 anomalous_epochs=0 trace_anomalous=0\n")
     labels = tmp_path / "r.labels"
     labels.write_text("0\tnormal\n")
     cfg = tmp_path / "bad.conf"

@@ -1,13 +1,18 @@
 import logging
 import random
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boscids.bosc import BehaviorDb, Config, FrozenDbError, bag_of, epoch_windows
 from boscids.catalog import SyscallIndex
 from boscids.detector import (
     DetectionReport,
+    EpochVerdict,
     detect,
     format_report,
     read_report_file,
@@ -168,7 +173,7 @@ def test_detect_threshold_fraction_override():
     trace = RawTrace.from_names(["a", "a", "b", "b"])
     assert detect(model, trace).verdicts[0].anomalous
     # with the loosest threshold nothing gets flagged
-    loose = detect(model, trace, threshold_fraction=1.0)
+    loose = detect(replace(model, config=replace(model.config, detect_threshold_fraction=1.0)), trace)
     assert not loose.verdicts[0].anomalous
 
 
@@ -201,18 +206,28 @@ def test_format_report_rows():
     [
         # totals that disagree with the single row above them
         ("0 3 0 0.4 0\ntotal epochs=9 windows=999 mismatches=0 anomalous_epochs=0 trace_anomalous=0\n",
-         "line 2: summary says epochs=9, the rows give 1"),
+         "line 2: 'total epochs=9 .* should read 'total epochs=1 windows=3 "),
         ("0 3 2 0.4 1\ntotal epochs=1 windows=3 mismatches=2 anomalous_epochs=1 trace_anomalous=0\n",
-         "line 2: summary says trace_anomalous=0, the rows give 1"),
+         "line 2: .* should read '.* anomalous_epochs=1 trace_anomalous=1"),
         ("0 3 2 0.4 7\ntotal epochs=1 windows=3 mismatches=2 anomalous_epochs=0 trace_anomalous=0\n",
-         "line 1: anomalous flag must be 0 or 1"),
+         "line 1: expected `epoch windows mismatches threshold 0.1`, got '0 3 2 0.4 7"),
         ("0 x 2 0.4 0\ntotal epochs=1 windows=3 mismatches=2 anomalous_epochs=0 trace_anomalous=0\n",
-         "line 1: bad number"),
-        ("0 3 2 0.4 0\n", "missing summary line"),
+         "line 1: expected .*, got '0 x 2 0.4 0"),
+        ("0 3 2 0.4 0\n", "line 1: missing summary line"),
         ("0 3 0 0.4 0\ntotal epochs=1 windows=3 mismatches=0 anomalous_epochs=0 trace_anomalous=0 caf\xc3\xa9\n",
          "line 2: byte 0xc3 is not ascii"),
+        ("1 3 0 0.4 0\n0 3 0 0.4 0\ntotal epochs=2 windows=6 mismatches=0 anomalous_epochs=0 trace_anomalous=0\n",
+         "line 1: '1 3 0 0.4 0.* should read '0 3 0 0.4 0"),
+        # a flag its numbers contradict: eval would score TPR 50%, not 100%
+        ("0 4991 371 500.0 0\n1 4991 4212 500.0 1\n2 4991 4659 500.0 0\n"
+         "total epochs=3 windows=14973 mismatches=9242 anomalous_epochs=1 trace_anomalous=1\n",
+         "line 3: '2 4991 4659 500.0 0.* should read '2 4991 4659 500.0 1"),
+        ("0 -4996 0 500.0 0\ntotal epochs=1 windows=-4996 mismatches=0 anomalous_epochs=0 trace_anomalous=0\n",
+         "line 1: expected .*, got '0 -4996 0 500.0 0"),
+        ("0 3 0 0.4 0\ntotal epochs=1\n", "line 2: 'total epochs=1.* should read 'total epochs=1 windows=3 "),
     ],
-    ids=["totals", "trace_anomalous", "flag", "number", "no-summary", "non-ascii"],
+    ids=["totals", "trace_anomalous", "flag", "number", "no-summary", "non-ascii",
+         "swapped-rows", "contradicted-flag", "negative-windows", "short-summary"],
 )
 def test_read_report_rejects_inconsistent_file(tmp_path, text, match):
     path = tmp_path / "r.report"
@@ -220,3 +235,39 @@ def test_read_report_rejects_inconsistent_file(tmp_path, text, match):
     with pytest.raises(ValueError, match=match) as exc:
         read_report_file(path)
     assert str(exc.value).startswith(f"{path}: ")
+
+
+@st.composite
+def reports(draw):
+    """Detection reports with any numbers a report can hold, with and
+    without a dropped tail."""
+    verdicts = draw(st.lists(st.builds(
+        EpochVerdict, st.integers(0, 2**70), st.integers(0, 2**70),
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    ), max_size=6))
+    return DetectionReport(verdicts, draw(st.sampled_from([0, 1, 9, 12345])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports(), st.data())
+def test_report_reads_back_only_as_written(tmp_path_factory, report, data):
+    path = tmp_path_factory.mktemp("r") / "r.report"
+    write_report_file(report, path)
+    text = path.read_bytes().decode("ascii")
+    loaded = read_report_file(path)
+    assert (loaded.verdicts, loaded.dropped_tail_calls) == (report.verdicts, report.dropped_tail_calls)
+    assert format_report(loaded) == text
+
+    # one character replaced, inserted or deleted, often at a line's end
+    ends = [i for i, c in enumerate(text) if c == "\n"]
+    k = data.draw(st.one_of(st.integers(0, len(text) - 1), st.sampled_from(ends)))
+    char = data.draw(st.sampled_from("0123456789 .e+-=_\n\rtx\xe9"))
+    edit = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+    edited = text[:k] + ("" if edit == "delete" else char) + text[k + (edit != "insert"):]
+    path.write_bytes(edited.encode("latin-1"))
+    try:
+        again = read_report_file(path)
+    except ValueError as e:
+        assert re.match(rf"{re.escape(str(path))}: line [0-9]+: ", str(e)), str(e)
+    else:
+        assert format_report(again) == edited

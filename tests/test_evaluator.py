@@ -10,23 +10,13 @@ from boscids.evaluator import (
 )
 
 
-def verdict(idx, windows, mismatches, anomalous):
-    return EpochVerdict(idx, windows, mismatches, 0.1 * windows, anomalous)
-
-
 def report(flags, windows=100, mismatches_per_flagged=60):
-    verdicts = [
-        verdict(i, windows, mismatches_per_flagged if f else 2, f)
-        for i, f in enumerate(flags)
-    ]
-    totals = {
-        "epochs": len(verdicts),
-        "windows": sum(v.windows_scanned for v in verdicts),
-        "mismatches": sum(v.mismatches for v in verdicts),
-        "anomalous_epochs": sum(v.anomalous for v in verdicts),
-        "dropped_tail_calls": 0,
-    }
-    return DetectionReport(verdicts, any(flags), totals)
+    # threshold 0.1 * windows = 10: a flagged epoch's 60 mismatches are above
+    # it, a clean epoch's 2 below
+    return DetectionReport([
+        EpochVerdict(windows, mismatches_per_flagged if f else 2, 0.1 * windows)
+        for f in flags
+    ])
 
 
 def test_perfect_detection_epoch_granularity():
@@ -112,16 +102,7 @@ def test_lowering_detect_fraction_is_monotone():
     windows = 100
     prev_tpr, prev_fpr = 0.0, 0.0
     for frac in (0.5, 0.25, 0.1, 0.05, 0.005):
-        verdicts = [
-            EpochVerdict(i, windows, m, frac * windows, m > frac * windows)
-            for i, m in enumerate(mism)
-        ]
-        rep = DetectionReport(verdicts, any(v.anomalous for v in verdicts), {
-            "epochs": len(verdicts), "windows": windows * len(verdicts),
-            "mismatches": sum(mism),
-            "anomalous_epochs": sum(v.anomalous for v in verdicts),
-            "dropped_tail_calls": 0,
-        })
+        rep = DetectionReport([EpochVerdict(windows, m, frac * windows) for m in mism])
         m = compute_metrics({"t": rep}, LabeledCorpus.from_pairs([("t", labels)]))
         assert m.tpr >= prev_tpr and m.fpr >= prev_fpr
         prev_tpr, prev_fpr = m.tpr, m.fpr

@@ -180,6 +180,6 @@ def test_pinned_burst_suite_flags_all_three_epochs():
     inj = InjectionSpec(frozenset({5, 17, 33}), "burst_repeat", 0.5)
     trace, labels = gen_anomalous(replace(spec, seed=71), 40 * S, inj, S)
     report = detector.detect(model, trace)
-    flagged = [v.epoch_index for v in report.verdicts if v.anomalous]
+    flagged = [e for e, v in enumerate(report.verdicts) if v.anomalous]
     assert flagged == [5, 17, 33]
     assert [e for e, lab in enumerate(labels) if lab == "malicious"] == [5, 17, 33]
