@@ -116,10 +116,14 @@ def write_labels(labels: Iterable[str], path) -> None:
 
 
 def read_labels(path) -> tuple[str, ...]:
+    """Read a label file; every line is `epoch_index<TAB>label` and an LF,
+    as write_labels writes it."""
     p = Path(path)
     labels = []
-    for i, line in enumerate(read_text(p).splitlines()):
-        parts = line.split("\t")
+    for i, line in enumerate(read_text(p).splitlines(keepends=True)):
+        if not line.endswith("\n"):
+            raise ValueError(f"{p}: line {i + 1}: {line!r} does not end in LF")
+        parts = line[:-1].split("\t")
         if len(parts) != 2:
             raise ValueError(f"{p}: line {i + 1}: expected `epoch_index<TAB>label`")
         idx, lab = parts

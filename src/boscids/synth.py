@@ -279,4 +279,7 @@ def first_uniforms(seed: int, count: int = 4) -> list[float]:
 
 def trace_digest(trace) -> str:
     """sha256 of a trace's file text; pins generated fixtures."""
-    return hashlib.sha256(RawTrace.from_names(trace).file_bytes()).hexdigest()
+    h = hashlib.sha256()
+    for chunk in RawTrace.from_names(trace).file_chunks():
+        h.update(chunk)
+    return h.hexdigest()

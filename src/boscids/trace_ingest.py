@@ -5,6 +5,14 @@ The tracer writes one event per line: ordinary calls, `<unfinished ...>` /
 exit notices (`+++ exited ... +++`). Only the syscall names survive here;
 arguments, return values, and PIDs are stripped.
 
+Files are read in blocks of BLOCK bytes, each cut after its last line end,
+so memory holds one block and the coded calls, never the whole text. Lines
+follow text-mode reading: UTF-8 with undecodable bytes replaced, CR and CRLF
+read as LF, and only LF ending a line. Most tracer lines are settled by one
+anchored pattern, a call or unfinished line with an optional pid prefix;
+every other line, and any line holding `<...`, goes whole to parse_line,
+which classifies every line shape and never raises.
+
 A trace is dictionary-coded, like Arrow's DictionaryArray or pandas'
 Categorical: distinct names plus one int32 code per call. RawTrace.from_names
 is the one place a name sequence becomes a trace and checks each distinct
@@ -14,8 +22,9 @@ name once; counting is a bincount over the codes.
 import re
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,6 +34,12 @@ _PID_BRACKET_RE = re.compile(r"\[pid\s+(\d+)\]\s*")
 _PID_LEADING_RE = re.compile(r"(\d+)\s+")
 _RESUMED_RE = re.compile(r"<\.\.\.\s+([A-Za-z_][A-Za-z0-9_]*)\s+resumed>")
 _NAME_BEFORE_PAREN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\(\Z")
+# A line this matches, and that holds no `<...`, is one parse_line reads as a
+# call or unfinished line of the same name: its stripped text starts with the
+# pid prefix parse_line removes, then the name and the first `(`.
+_CALL_RE = re.compile(r"[ \t]*(?:\[pid +[0-9]+\] *|[0-9]+ +)?([A-Za-z_][A-Za-z0-9_]*)\(")
+
+BLOCK = 1 << 16  # bytes of a file read at a time
 
 
 @dataclass(frozen=True)
@@ -73,10 +88,15 @@ class RawTrace:
             names.append(name)
         return cls(tuple(names), calls, source_meta)
 
-    def file_bytes(self) -> bytes:
-        """The trace file's content: one name per call, LF-terminated."""
+    def file_chunks(self) -> Iterator[bytes]:
+        """The trace file's content, a chunk of calls at a time: one name
+        per call, LF-terminated."""
         lines = np.array([f"{n}\n".encode("ascii") for n in self.names], dtype=object)
-        return b"".join(lines[self.calls].tolist())
+        # bytes.join holds an 80-byte buffer per item: 4,096 calls at the
+        # default BLOCK keep that near 320 KiB.
+        step = max(1, BLOCK // 16)
+        for start in range(0, len(self.calls), step):
+            yield b"".join(lines[self.calls[start : start + step]].tolist())
 
 
 @dataclass(frozen=True)
@@ -127,6 +147,35 @@ def parse_line(line: str) -> RawTraceLine:
     return RawTraceLine("garbage", pid)
 
 
+def _settle(lines: list[str], tally: list[int]) -> list[str]:
+    """The name of each call or unfinished line of a batch, in order; adds
+    the batch's line and garbage counts to tally."""
+    names: list[str] = []
+    keep = names.append
+    match = _CALL_RE.match
+    n_garbage = 0
+    for line in lines:
+        m = match(line)
+        if m is not None and "<..." not in line:
+            keep(m[1])
+            continue
+        parsed = parse_line(line)
+        if parsed.kind in ("call", "unfinished"):
+            keep(parsed.name)
+        elif parsed.kind == "garbage":
+            n_garbage += 1
+    tally[0] += len(lines)
+    tally[1] += n_garbage
+    return names
+
+
+def _ingest_batches(batches: Iterable[list[str]], source: str) -> RawTrace:
+    tally = [0, 0]
+    trace = RawTrace.from_names(chain.from_iterable(_settle(b, tally) for b in batches))
+    trace.source_meta = f"{source}: {tally[0]} lines, {tally[1]} garbage"
+    return trace
+
+
 def ingest(lines: Iterable[str], source: str = "<stream>") -> RawTrace:
     """Extract syscall names from tracer lines, in input order.
 
@@ -134,23 +183,44 @@ def ingest(lines: Iterable[str], source: str = "<stream>") -> RawTrace:
     matching `resumed` line contributes nothing. Signal/exit notices and
     garbage are skipped, with garbage tallied in source_meta.
     """
-    calls: list[str] = []
-    n_lines = 0
-    n_garbage = 0
-    for line in lines:
-        n_lines += 1
-        parsed = parse_line(line)
-        if parsed.kind in ("call", "unfinished"):
-            calls.append(parsed.name)
-        elif parsed.kind == "garbage":
-            n_garbage += 1
-    return RawTrace.from_names(calls, f"{source}: {n_lines} lines, {n_garbage} garbage")
+    # Lines go through in lists, as ingest_file's blocks do, so the classifier
+    # loops over a list instead of resuming a generator per line.
+    it = iter(lines)
+    return _ingest_batches(iter(lambda: list(islice(it, 4096)), []), source)
+
+
+def _blocks(path: Path) -> Iterator[bytes]:
+    """The file's bytes, about BLOCK at a time, each piece ending at a line
+    end: an LF, or a CR not followed by LF. A last line with no line end
+    gets an LF."""
+    with path.open("rb") as fh:
+        head: list[bytes] = []  # bytes after the last cut
+        while block := fh.read(BLOCK):
+            # A CR that ends the block may be the first half of a CRLF.
+            cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
+            if cut:
+                head.append(block[:cut])
+                yield b"".join(head)
+                head = []
+            head.append(block[cut:])
+        tail = b"".join(head)
+        if tail:
+            yield tail + b"\n"
+
+
+def _text_lines(piece: bytes) -> list[str]:
+    """A block's lines, as text-mode reading gives them, without line ends."""
+    if b"\r" in piece:
+        piece = piece.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    lines = piece.decode("utf-8", "replace").split("\n")
+    del lines[-1]  # the empty text after the block's last LF
+    return lines
 
 
 def ingest_file(path) -> RawTrace:
+    """ingest over the lines of a tracer text file, read a block at a time."""
     p = Path(path)
-    with p.open("r", encoding="utf-8", errors="replace") as fh:
-        return ingest(fh, source=p.name)
+    return _ingest_batches(map(_text_lines, _blocks(p)), p.name)
 
 
 def count_table(trace: RawTrace | Iterable[str]) -> CountTable:
@@ -162,7 +232,8 @@ def count_table(trace: RawTrace | Iterable[str]) -> CountTable:
 
 def write_trace_file(trace: RawTrace, path) -> None:
     """One syscall name per line, LF-terminated."""
-    Path(path).write_bytes(trace.file_bytes())
+    with Path(path).open("wb") as fh:
+        fh.writelines(trace.file_chunks())
 
 
 def write_count_file(table: CountTable, path) -> None:
@@ -175,12 +246,15 @@ def write_count_file(table: CountTable, path) -> None:
 def read_trace_file(path) -> RawTrace:
     """Read a trace file; an error names the first invalid line."""
     p = Path(path)
-    # bytes.splitlines splits on \n, \r and \r\n, as text-mode reading does.
-    lines = p.read_bytes().splitlines()
+    # bytes.splitlines splits on \n, \r and \r\n, as text-mode reading does;
+    # a block never ends inside a CRLF.
+    lines = chain.from_iterable(map(bytes.splitlines, _blocks(p)))
     try:
-        return RawTrace.from_names(lines, f"{p.name}: {len(lines)} lines, 0 garbage")
+        trace = RawTrace.from_names(lines)
     except SyscallNameError as e:
         raise ValueError(f"{p}: line {e.position + 1}: {e}") from None
+    trace.source_meta = f"{p.name}: {len(trace.calls)} lines, 0 garbage"
+    return trace
 
 
 def read_text(path, encoding: str = "ascii") -> str:

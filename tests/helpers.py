@@ -1,18 +1,20 @@
 """Independent brute-force oracles the engine-path tests compare against.
 
 Everything here recounts from scratch, with plain Python loops or with
-count-matrix rows; none of it shares code with the bag-key or coded-trace
-paths under test. The one exception, insert_counts, is a fixture builder,
-not an oracle.
+count-matrix rows; none of it shares code with the bag-key, coded-trace or
+block-ingest paths under test. The one exception, insert_counts, is a
+fixture builder, not an oracle.
 """
 
 import math
 import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
 from boscids.bosc import Bags
+from boscids.trace_ingest import parse_line
 
 
 def insert_counts(db, bags, multiplicities=None):
@@ -36,6 +38,27 @@ def call_names(trace):
 def resolve_each(index, names):
     """Slots of a name sequence, one index.resolve call per name."""
     return [index.resolve(n) for n in names]
+
+
+def ingest_line_by_line(lines, source="<stream>"):
+    """(call names, source_meta) of tracer lines, each classified by parse_line."""
+    names = []
+    n_lines = n_garbage = 0
+    for line in lines:
+        n_lines += 1
+        parsed = parse_line(line)
+        if parsed.kind in ("call", "unfinished"):
+            names.append(parsed.name)
+        elif parsed.kind == "garbage":
+            n_garbage += 1
+    return names, f"{source}: {n_lines} lines, {n_garbage} garbage"
+
+
+def ingest_file_line_by_line(path):
+    """ingest_line_by_line over a tracer file read in text mode, line by line."""
+    p = Path(path)
+    with p.open("r", encoding="utf-8", errors="replace") as fh:
+        return ingest_line_by_line(fh, p.name)
 
 
 def trace_text(names):

@@ -132,6 +132,20 @@ def test_labels_file_rejects_non_integer_index(tmp_path, index):
     assert str(exc.value).startswith(f"{path}: line 2: epoch index")
 
 
+@pytest.mark.parametrize("text,line,message", [
+    ("0\tnormal\r1\tmalicious", 1, "'0\\tnormal\\r' does not end in LF"),
+    ("0\tnormal\n1\tmalicious", 2, "'1\\tmalicious' does not end in LF"),
+    ("0\tnormal\r\n", 1, "unknown label 'normal\\r'"),
+    ("0\tnormal\n\x0c\n", 2, "'\\x0c' does not end in LF"),
+], ids=["cr", "no-final-lf", "crlf", "form-feed"])
+def test_labels_file_accepts_only_written_text(tmp_path, text, line, message):
+    path = tmp_path / "bad.labels"
+    path.write_bytes(text.encode("ascii"))
+    with pytest.raises(ValueError) as exc:
+        read_labels(path)
+    assert str(exc.value) == f"{path}: line {line}: {message}"
+
+
 def test_labels_file_rejects_non_ascii_label(tmp_path):
     path = tmp_path / "bad.labels"
     path.write_bytes(b"0\tnorm\xc3\xa9l\n")

@@ -1,6 +1,8 @@
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +11,14 @@ from hypothesis import strategies as st
 
 from boscids import trace_ingest as ti
 from boscids.catalog import SyscallIndex
-from helpers import call_names, counter_table_entries, resolve_each, trace_text
+from helpers import (
+    call_names,
+    counter_table_entries,
+    ingest_file_line_by_line,
+    ingest_line_by_line,
+    resolve_each,
+    trace_text,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -236,3 +245,126 @@ def test_coded_trace_paths_equal_name_by_name_oracles(case):
             ti.write_trace_file(t, path)
             assert path.read_bytes() == trace_text(names)
             assert call_names(ti.read_trace_file(path)) == names
+
+
+# Pieces of tracer text plus what text-mode reading treats specially: CR,
+# CRLF, NEL, form feed and other non-LF line breaks, a no-break space,
+# Arabic-Indic digits, and bytes that are not UTF-8.
+_TRACER_PIECES = [
+    b"read(", b"x_1(", b"[pid  12] ", b"[pid 7]", b"4242 ", b"4242\t", b"9", b" ", b"\t",
+    b"<unfinished ...>", b"<... read resumed>", b"<...", b" resumed>", b"(", b")", b" = 0",
+    b"--- SIGCHLD ---", b"+++ exited with 0 +++", b"---", b"+++", b"SIG",
+    b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c", b"\x1c", "\x85".encode(), "\u2028".encode(),
+    "\xa0".encode(), "\u0663\u0664".encode(), "[pid \u0663] ".encode(),
+    b"\x85", b"\xff", b"\xe2\x82", b"\xc3",
+]
+_TRACER_BYTES = st.lists(
+    st.one_of(st.sampled_from(_TRACER_PIECES), st.binary(max_size=3)), max_size=40
+).map(b"".join)
+_TRACER_TEXT = _TRACER_BYTES.map(lambda b: b.decode("utf-8", "replace"))
+# A line the one-pattern path settles: its prefix, a name, `(`, then anything.
+_CALL_LINES = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["", " ", "\t ", "[pid 7] ", "[pid  12]", "4242 ", "12  "]),
+        _NAMES,
+        st.just("("),
+        st.one_of(st.text(), _TRACER_TEXT),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TRACER_BYTES, st.integers(1, 8))
+@example(b"", 1)  # the empty file
+@example(b"read(0)\r\nwrite(1)\n", 8)  # a CRLF across a block boundary
+@example(b"read(0)\rwrite(1)\n", 8)  # a lone CR at a block's end
+@example(b"read(0)\r", 8)  # a lone CR ends the file
+@example(b"[pid 1] read(\n\x85brk(\x0cx", 3)  # no final LF
+def test_ingest_file_equals_line_by_line_oracle(data, block):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "t.strace"
+        path.write_bytes(data)
+        expected = ingest_file_line_by_line(path)
+        with mock.patch.object(ti, "BLOCK", block):
+            trace = ti.ingest_file(path)
+    assert (call_names(trace), trace.source_meta) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.text(), _CALL_LINES, _TRACER_TEXT)))
+@example(["read(3, <... write resumed>) = 0", "4242 x-y(", "\x0cbrk(", "[pid \u0663] brk("])
+def test_ingest_equals_line_by_line_oracle(lines):
+    # The oracle runs parse_line on every line: it never raises.
+    trace = ti.ingest(lines, source="s")
+    assert (call_names(trace), trace.source_meta) == ingest_line_by_line(lines, "s")
+
+
+@pytest.mark.parametrize("stem", ["mixed", "messy"])
+def test_ingest_equals_line_by_line_oracle_on_fixtures(stem):
+    path = FIXTURES / f"{stem}.strace"
+    expected = ingest_file_line_by_line(path)
+    for block in (1, 7, 64, ti.BLOCK):
+        with mock.patch.object(ti, "BLOCK", block):
+            trace = ti.ingest_file(path)
+        assert (call_names(trace), trace.source_meta) == expected
+    lines = path.read_text().splitlines() * 25  # more lines than one batch
+    trace = ti.ingest(lines)
+    assert (call_names(trace), trace.source_meta) == ingest_line_by_line(lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coded_traces(), st.integers(1, 40))
+def test_trace_file_round_trip_across_blocks(case, block):
+    trace, names, _ = case
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(ti, "BLOCK", block):
+        path = Path(d) / "t.trace"
+        ti.write_trace_file(trace, path)
+        assert path.read_bytes() == trace_text(names)
+        back = ti.read_trace_file(path)
+    assert call_names(back) == names
+    assert back.source_meta == f"t.trace: {len(names)} lines, 0 garbage"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(
+        st.one_of(_NAMES.map(str.encode), st.sampled_from([b"", b"x-y", b"wr\xc3\xa9te"])),
+        st.sampled_from([b"\n", b"\r", b"\r\n"]),
+    )),
+    st.booleans(),
+    st.integers(1, 8),
+)
+def test_read_trace_file_across_blocks(lines, final_line_end, block):
+    data = b"".join(name + end for name, end in lines)
+    if lines and not final_line_end:
+        data = data[: -len(lines[-1][1])]
+    # The whole file split at once, as text-mode reading splits it.
+    names = data.splitlines()
+    bad = [i for i, n in enumerate(names) if not re.fullmatch(rb"[A-Za-z_][A-Za-z0-9_]*", n)]
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(ti, "BLOCK", block):
+        path = Path(d) / "t.trace"
+        path.write_bytes(data)
+        if bad:
+            with pytest.raises(ValueError, match="^" + re.escape(f"{path}: line {bad[0] + 1}: ")):
+                ti.read_trace_file(path)
+        else:
+            assert call_names(ti.read_trace_file(path)) == [n.decode() for n in names]
+
+
+def test_ingest_and_read_memory_is_bounded_by_the_calls(tmp_path):
+    # Peaks count the coded calls (np.fromiter may hold two copies while it
+    # grows) plus a few blocks, never a line of text per call.
+    line = b'[pid  4242] openat(AT_FDCWD, "/usr/lib/libc.so", O_RDONLY|O_CLOEXEC) = 3\n'
+    strace = tmp_path / "big.strace"
+    strace.write_bytes(line * 100_000)  # 7.3 MB
+    names = tmp_path / "big.trace"
+    names.write_bytes(b"read\nwrite\n" * 250_000)
+    for path, read in ((strace, ti.ingest_file), (names, ti.read_trace_file)):
+        tracemalloc.start()
+        try:
+            trace = read(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * trace.calls.nbytes + 2 * 2**20, (path.name, peak)
