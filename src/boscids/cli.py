@@ -43,7 +43,9 @@ def _load_config_file(path: str) -> dict[str, str]:
     if not p.is_file():
         raise CliError(f"config: file not found: {path}")
     try:
-        lines = trace_ingest.read_text(p, "utf-8").splitlines()
+        # LF only: str.splitlines would also end a line at \x0c, \x1c or
+        # U+2028, and so read keys hidden inside one line.
+        lines = trace_ingest.read_text(p, "utf-8").split("\n")
     except ValueError as e:
         raise CliError(f"config: {e}") from None
     for i, line in enumerate(lines, start=1):
@@ -202,14 +204,13 @@ def _cmd_detect(args) -> int:
             print(f"{path}: empty trace, nothing scanned", file=sys.stderr)
             empty = True
             continue
-        text = detector.format_report(report)
         if args.report:
             detector.write_report_file(report, args.report)
             print(f"report: {args.report}")
         else:
             if len(args.traces) > 1:
                 print(f"== {path}")
-            print(text, end="")
+            print(detector.format_report(report), end="")
     if empty:
         return 1
     return 2 if any(r.trace_anomalous for r in reports) else 0

@@ -72,19 +72,15 @@ def compute_metrics(reports: Mapping[str, DetectionReport], corpus: LabeledCorpu
             )
         for label, verdict in zip(labels, report.verdicts):
             if granularity == "epoch":
-                if label == LABEL_MALICIOUS:
-                    n_malicious += 1
-                    n_tp += int(verdict.anomalous)
-                else:
-                    n_normal += 1
-                    n_fp += int(verdict.anomalous)
+                hits, total = int(verdict.anomalous), 1
             else:
-                if label == LABEL_MALICIOUS:
-                    n_malicious += verdict.windows_scanned
-                    n_tp += verdict.mismatches
-                else:
-                    n_normal += verdict.windows_scanned
-                    n_fp += verdict.mismatches
+                hits, total = verdict.mismatches, verdict.windows_scanned
+            if label == LABEL_MALICIOUS:
+                n_tp += hits
+                n_malicious += total
+            else:
+                n_fp += hits
+                n_normal += total
     return Metrics(granularity, n_tp, n_fp, n_malicious, n_normal)
 
 

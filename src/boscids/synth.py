@@ -7,7 +7,6 @@ uniforms by hand so identical seeds give byte-identical traces across
 platforms and library versions. A known-answer test pins the stream.
 """
 
-import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -103,17 +102,12 @@ def _zipf_weights(n: int, s: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _pick(cum: list[float], u: float) -> int:
-    """Inverse-CDF draw from a cumulative weight list whose last entry is 1."""
-    return bisect_left(cum, u)
-
-
 def _pick_distinct(rng, cum: list[float], k: int) -> list[int]:
     """k distinct weighted draws, by rejection on repeats."""
     chosen: list[int] = []
     seen = set()
     while len(chosen) < k:
-        i = _pick(cum, rng.random())
+        i = bisect_left(cum, rng.random())
         if i not in seen:
             seen.add(i)
             chosen.append(i)
@@ -129,15 +123,11 @@ def _shuffled(rng, n: int) -> list[int]:
     return perm
 
 
-def _cum_rows(matrix: np.ndarray) -> list[list[float]]:
-    cum = np.cumsum(matrix, axis=1)
-    cum[:, -1] = 1.0  # guard bisect against float shortfall
-    return [row.tolist() for row in cum]
-
-
-def _cum_of(weights: np.ndarray) -> list[float]:
-    cum = np.cumsum(weights)
-    cum[-1] = 1.0
+def _cum(weights: np.ndarray) -> list:
+    """Cumulative weights along the last axis, as lists for bisect_left's
+    inverse-CDF draw. The last entry is pinned to 1 against float shortfall."""
+    cum = np.cumsum(weights, axis=-1)
+    cum[..., -1] = 1.0
     return cum.tolist()
 
 
@@ -183,14 +173,14 @@ def make_source(n_names: int = 64, zipf_s: float = 1.2, seed: int = 0,
 def _walk(spec: SourceSpec, total_calls: int) -> list[int]:
     n = len(spec.alphabet)
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    init_cum = _cum_of(_zipf_weights(n, spec.zipf_s))
-    cum_rows = _cum_rows(spec.transition)
+    init_cum = _cum(_zipf_weights(n, spec.zipf_s))
+    cum_rows = _cum(spec.transition)
     u = rng.random(total_calls).tolist()
     states = [0] * total_calls
-    s = _pick(init_cum, u[0])
+    s = bisect_left(init_cum, u[0])
     states[0] = s
     for t in range(1, total_calls):
-        s = _pick(cum_rows[s], u[t])
+        s = bisect_left(cum_rows[s], u[t])
         states[t] = s
     return states
 
@@ -205,7 +195,7 @@ def gen_normal(spec: SourceSpec, total_calls: int) -> RawTrace:
     return RawTrace(spec.alphabet, states, meta)
 
 
-def _inject_rng(spec: SourceSpec, epoch: int) -> np.random.Generator:
+def _inject_rng(spec: SourceSpec, epoch: int):
     # Separate stream per injected epoch, so the base walk stays identical
     # to gen_normal outside and between replacements.
     seed = np.random.SeedSequence([spec.seed & (2**64 - 1), _INJECT_STREAM_TAG, epoch])
@@ -232,7 +222,7 @@ def gen_anomalous(spec: SourceSpec, total_calls: int, inj: InjectionSpec,
     base = gen_normal(spec, total_calls)
     calls = base.calls.copy()
     alphabet = spec.alphabet
-    init_cum = _cum_of(_zipf_weights(len(alphabet), spec.zipf_s))
+    init_cum = _cum(_zipf_weights(len(alphabet), spec.zipf_s))
     novel = [nm for nm in NOVEL_SYSCALLS if nm not in alphabet] or [f"novel_{i}" for i in range(8)]
     pool = [nm for nm in novel if nm not in alphabet]
     names = alphabet + tuple(pool) if inj.mode == "novel_names" else alphabet
@@ -248,14 +238,14 @@ def gen_anomalous(spec: SourceSpec, total_calls: int, inj: InjectionSpec,
         elif inj.mode == "shuffled_transitions":
             perm = _shuffled(rng, len(alphabet))
             permuted = spec.transition[np.ix_(perm, perm)]
-            cum_rows = _cum_rows(permuted)
+            cum_rows = _cum(permuted)
             positions = sorted(_shuffled(rng, epoch_size)[:k])
             for p in positions:
                 gpos = start + p
                 if gpos == 0:
-                    calls[gpos] = _pick(init_cum, rng.random())
+                    calls[gpos] = bisect_left(init_cum, rng.random())
                 else:
-                    calls[gpos] = _pick(cum_rows[calls[gpos - 1]], rng.random())
+                    calls[gpos] = bisect_left(cum_rows[calls[gpos - 1]], rng.random())
         else:  # burst_repeat
             motif = _pick_distinct(rng, init_cum, min(3, len(alphabet)))
             offset = int(rng.random() * (epoch_size - k + 1))
@@ -269,17 +259,3 @@ def gen_anomalous(spec: SourceSpec, total_calls: int, inj: InjectionSpec,
     )
     return RawTrace(names, calls, meta), labels
 
-
-def first_uniforms(seed: int, count: int = 4) -> list[float]:
-    """The leading uniform doubles of the pinned generator, for known-answer
-    checks of stream stability."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.random(count).tolist()
-
-
-def trace_digest(trace) -> str:
-    """sha256 of a trace's file text; pins generated fixtures."""
-    h = hashlib.sha256()
-    for chunk in RawTrace.from_names(trace).file_chunks():
-        h.update(chunk)
-    return h.hexdigest()

@@ -70,7 +70,7 @@ class RawTrace:
     source_meta: str = ""
 
     @classmethod
-    def from_names(cls, seq: "RawTrace | Iterable[str | bytes]", source_meta: str = "") -> "RawTrace":
+    def from_names(cls, seq: "RawTrace | Iterable[str | bytes]") -> "RawTrace":
         """Code a sequence of syscall names (str, or ASCII bytes), checking
         each distinct name once; any other item, an int included, raises
         SyscallNameError. A RawTrace passes through unchanged."""
@@ -86,7 +86,7 @@ class RawTrace:
             if not (isinstance(name, str) and SYSCALL_NAME_RE.fullmatch(name)):
                 raise SyscallNameError(name, int(np.argmax(calls == code)))
             names.append(name)
-        return cls(tuple(names), calls, source_meta)
+        return cls(tuple(names), calls)
 
     def file_chunks(self) -> Iterator[bytes]:
         """The trace file's content, a chunk of calls at a time: one name

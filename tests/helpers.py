@@ -2,10 +2,12 @@
 
 Everything here recounts from scratch, with plain Python loops or with
 count-matrix rows; none of it shares code with the bag-key, coded-trace or
-block-ingest paths under test. The one exception, insert_counts, is a
-fixture builder, not an oracle.
+block-ingest paths under test. The exceptions are insert_counts, a fixture
+builder, and first_uniforms and trace_digest, which the generator's
+known-answer pins are checked through.
 """
 
+import hashlib
 import math
 import re
 from collections import Counter
@@ -28,6 +30,16 @@ def counter_table_entries(names):
     """Count-table entries of a name sequence, by Counter: count descending,
     then name ascending."""
     return tuple(sorted(Counter(names).items(), key=lambda kv: (-kv[1], kv[0])))
+
+
+def first_uniforms(seed, count=4):
+    """The leading uniform doubles of the generator's PCG64 stream."""
+    return np.random.Generator(np.random.PCG64(seed)).random(count).tolist()
+
+
+def trace_digest(trace):
+    """sha256 of a coded trace's file bytes."""
+    return hashlib.sha256(b"".join(trace.file_chunks())).hexdigest()
 
 
 def call_names(trace):

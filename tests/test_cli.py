@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from boscids.cli import main
 from boscids.evaluator import write_labels
@@ -334,6 +339,30 @@ def test_invalid_config_values_exit_1_naming_the_flag(tmp_path, capsys):
         assert needle in err, err
 
 
+def test_config_file_with_crlf_line_ends(tmp_path, capsys):
+    trace = tmp_path / "ab.trace"
+    write_ab_trace(trace)
+    cfg = tmp_path / "crlf.conf"
+    cfg.write_bytes(b"epoch-size=4\r\nwindow=2\r\n")
+    code, out, _ = run(capsys, "train", str(trace), "--model", str(tmp_path / "m"),
+                       "--config", str(cfg))
+    assert code == 0
+    assert "converged after 3 epochs" in out
+
+
+@pytest.mark.parametrize("sep", ["\x0c", "\x1c", "\x85", "\u2028"])
+def test_config_lines_end_at_lf_only(tmp_path, capsys, sep):
+    # str.splitlines would end the line at sep and set epoch-size=100 too.
+    trace = tmp_path / "ab.trace"
+    write_ab_trace(trace)
+    cfg = tmp_path / "one-line.conf"
+    cfg.write_bytes(f"window=5{sep}epoch-size=100\n".encode())
+    code, _, err = run(capsys, "train", str(trace), "--model", str(tmp_path / "m"),
+                       "--config", str(cfg))
+    assert code == 1
+    assert "--window" in err
+
+
 def test_undecodable_config_file_names_file_and_line(tmp_path, capsys):
     trace = tmp_path / "ab.trace"
     write_ab_trace(trace)
@@ -383,3 +412,13 @@ def test_detect_jobs_must_be_positive(tmp_path, capsys):
     code, _, err = run(capsys, "detect", str(bad), str(bad), "--model", str(model), "--jobs", "0")
     assert code == 1
     assert "jobs" in err
+
+
+def test_import_cli_leaves_generator_and_hashlib_unloaded():
+    # Only gen needs numpy.random; ingest, train, detect and eval should not
+    # pay its import time and memory.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    probe = "import sys, boscids.cli; print(sorted({'numpy.random', 'hashlib'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -10,14 +10,12 @@ from boscids.synth import (
     NOVEL_SYSCALLS,
     InjectionSpec,
     SourceSpec,
-    first_uniforms,
     gen_anomalous,
     gen_normal,
     make_source,
-    trace_digest,
 )
 from boscids.trace_ingest import count_table
-from helpers import call_names, counter_table_entries
+from helpers import call_names, counter_table_entries, first_uniforms, trace_digest
 
 logging.getLogger("boscids").setLevel(logging.ERROR)
 
