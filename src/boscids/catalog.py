@@ -37,7 +37,7 @@ class SyscallIndex:
         """Resolve a trace (a RawTrace or names) to int64 slots by one gather."""
         trace = RawTrace.from_names(trace)
         lut = np.array([self.resolve(n) for n in trace.names], dtype=np.int64)
-        return lut[trace.calls]
+        return lut[np.frombuffer(trace.calls, dtype=np.int32)]
 
 
 def build_index(counts: CountTable) -> SyscallIndex:

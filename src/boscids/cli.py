@@ -5,17 +5,18 @@ Exit statuses: 0 success/clean, 2 anomaly detected (detect), 3 training did
 not converge (train), 1 operational error. Defaults follow the standard
 parameterization (window 10, epoch 5000, train threshold 0.99, detection
 threshold 10% of the epoch).
+
+Only the parser and `ingest` use the modules imported here; every other
+command imports its own, so `ingest` and `--help` start without numpy.
 """
 
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from . import detector, evaluator, synth, trace_ingest, trainer
-from .bosc import Config
+from . import trace_ingest
 
 CONFIG_ENV_VAR = "BOSCIDS_CONFIG"
 
@@ -116,10 +117,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="detection report file (repeatable)")
     p.add_argument("--labels", action="append", required=True, metavar="PATH",
                    help="label file matching the report given in the same position (repeatable)")
-    # argparse checks choices on flags only; compute_metrics rejects a bad
-    # value from a config file.
-    p.add_argument("--granularity", choices=evaluator.GRANULARITIES, default="epoch",
-                   help="count epochs or windows (default: epoch)")
+    # compute_metrics checks the value, from a flag or a config file.
+    p.add_argument("--granularity", default="epoch", metavar="UNIT",
+                   help="what to count: epoch or window (default: epoch)")
 
     p = sub.add_parser("gen", parents=[config],
                        help="generate a deterministic synthetic trace",
@@ -134,9 +134,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--labels", metavar="PATH", help="write per-epoch labels here")
     p.add_argument("--inject-epochs", metavar="E1,E2,...",
                    help="comma-separated epoch indices to corrupt")
-    # As for --granularity, InjectionSpec rejects a bad value from a config file.
-    p.add_argument("--inject-mode", choices=synth.INJECTION_MODES, default="novel_names",
-                   help="corruption mode (default: novel_names)")
+    # As for --granularity, InjectionSpec checks the value.
+    p.add_argument("--inject-mode", default="novel_names", metavar="MODE",
+                   help="corruption mode: novel_names, shuffled_transitions or burst_repeat (default: novel_names)")
     p.add_argument("--intensity", type=float, default=0.5, metavar="F",
                    help="fraction of each target epoch replaced (default: 0.5)")
     p.add_argument("--epoch-size", type=int, default=5000, metavar="S",
@@ -162,6 +162,9 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from . import trainer
+    from .bosc import Config
+
     config = Config(
         window_size=args.window,
         epoch_size=args.epoch_size,
@@ -184,6 +187,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import detector, trainer
+
     if args.jobs < 1:
         raise CliError("jobs: must be a positive integer")
     if args.report and len(args.traces) > 1:
@@ -217,6 +224,8 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from . import detector, evaluator
+
     if len(args.report) != len(args.labels):
         raise CliError("labels: need exactly one label file per report")
     reports = {}
@@ -232,13 +241,17 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from . import evaluator, synth
+
     spec = synth.make_source(n_names=args.alphabet_size, zipf_s=args.zipf_s, seed=args.seed)
-    if args.inject_epochs:
-        try:
-            targets = frozenset(int(tok) for tok in args.inject_epochs.split(","))
-        except ValueError:
-            raise CliError(f"inject-epochs: expected comma-separated integers, got {args.inject_epochs!r}") from None
-        inj = synth.InjectionSpec(targets, args.inject_mode, args.intensity)
+    epochs = args.inject_epochs.split(",") if args.inject_epochs else []
+    try:
+        targets = frozenset(map(int, epochs))
+    except ValueError:
+        raise CliError(f"inject-epochs: expected comma-separated integers, got {args.inject_epochs!r}") from None
+    # Built even with no targets, so a bad --inject-mode or --intensity fails.
+    inj = synth.InjectionSpec(targets, args.inject_mode, args.intensity)
+    if targets:
         trace, labels = synth.gen_anomalous(spec, args.calls, inj, args.epoch_size)
     else:
         trace = synth.gen_normal(spec, args.calls)

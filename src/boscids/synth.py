@@ -7,6 +7,7 @@ uniforms by hand so identical seeds give byte-identical traces across
 platforms and library versions. A known-answer test pins the stream.
 """
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -190,9 +191,8 @@ def gen_normal(spec: SourceSpec, total_calls: int) -> RawTrace:
     the walk's states are the trace's codes into the alphabet."""
     if total_calls < 1:
         raise ValueError("total_calls must be positive")
-    states = np.array(_walk(spec, total_calls), dtype=np.int32)
     meta = f"synth seed={spec.seed} calls={total_calls} names={len(spec.alphabet)} zipf_s={spec.zipf_s}"
-    return RawTrace(spec.alphabet, states, meta)
+    return RawTrace(spec.alphabet, array("i", _walk(spec, total_calls)), meta)
 
 
 def _inject_rng(spec: SourceSpec, epoch: int):
@@ -220,7 +220,7 @@ def gen_anomalous(spec: SourceSpec, total_calls: int, inj: InjectionSpec,
             raise ValueError(f"target epoch {e} outside trace of {n_epochs} epochs")
 
     base = gen_normal(spec, total_calls)
-    calls = base.calls.copy()
+    calls = array("i", base.calls)
     alphabet = spec.alphabet
     init_cum = _cum(_zipf_weights(len(alphabet), spec.zipf_s))
     novel = [nm for nm in NOVEL_SYSCALLS if nm not in alphabet] or [f"novel_{i}" for i in range(8)]

@@ -13,20 +13,24 @@ anchored pattern, a call or unfinished line with an optional pid prefix;
 every other line, and any line holding `<...`, goes whole to parse_line,
 which classifies every line shape and never raises.
 
+A line longer than MAX_LINE bytes is classified by its first MAX_LINE bytes
+in a capture and fails a trace file, so memory stays bounded on input with
+no line ends.
+
 A trace is dictionary-coded, like Arrow's DictionaryArray or pandas'
-Categorical: distinct names plus one int32 code per call. RawTrace.from_names
-is the one place a name sequence becomes a trace and checks each distinct
-name once; counting is a bincount over the codes.
+Categorical: distinct names plus one int32 code per call, in an
+array('i') that numpy views without a copy. RawTrace.from_names is the one
+place a name sequence becomes a trace and checks each distinct name once.
+This module imports no numpy, so `boscids ingest` starts without it.
 """
 
 import re
-from collections import defaultdict
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator
-
-import numpy as np
 
 SYSCALL_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -40,6 +44,7 @@ _NAME_BEFORE_PAREN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\(\Z")
 _CALL_RE = re.compile(r"[ \t]*(?:\[pid +[0-9]+\] *|[0-9]+ +)?([A-Za-z_][A-Za-z0-9_]*)\(")
 
 BLOCK = 1 << 16  # bytes of a file read at a time
+MAX_LINE = 1 << 20  # bytes of a line kept
 
 
 @dataclass(frozen=True)
@@ -62,11 +67,12 @@ class SyscallNameError(ValueError):
 
 @dataclass(eq=False)
 class RawTrace:
-    """One trace: calls[i] is the int32 code of call i into names. from_names
-    lists names in first-appearance order; gen's names may go unused."""
+    """One trace: calls[i] is the int32 code of call i into names, in an
+    array('i'); np.frombuffer(calls, np.int32) views it. from_names lists
+    names in first-appearance order; gen's names may go unused."""
 
     names: tuple[str, ...]
-    calls: np.ndarray
+    calls: array
     source_meta: str = ""
 
     @classmethod
@@ -79,24 +85,28 @@ class RawTrace:
         # A new name's code is the dict's size when first seen; map loops in C.
         code_of = defaultdict()
         code_of.default_factory = code_of.__len__
-        calls = np.fromiter(map(code_of.__getitem__, seq), dtype=np.int32)
+        codes = map(code_of.__getitem__, seq)
+        # Lists of 4,096 codes: the array grows once per list, not per call.
+        calls = array("i")
+        while chunk := list(islice(codes, 1 << 12)):
+            calls.fromlist(chunk)
         names = []
         for code, raw in enumerate(code_of):
             name = raw.decode("ascii", "backslashreplace") if isinstance(raw, bytes) else raw
             if not (isinstance(name, str) and SYSCALL_NAME_RE.fullmatch(name)):
-                raise SyscallNameError(name, int(np.argmax(calls == code)))
+                raise SyscallNameError(name, calls.index(code))
             names.append(name)
         return cls(tuple(names), calls)
 
     def file_chunks(self) -> Iterator[bytes]:
         """The trace file's content, a chunk of calls at a time: one name
         per call, LF-terminated."""
-        lines = np.array([f"{n}\n".encode("ascii") for n in self.names], dtype=object)
+        lines = [f"{n}\n".encode("ascii") for n in self.names]
         # bytes.join holds an 80-byte buffer per item: 4,096 calls at the
         # default BLOCK keep that near 320 KiB.
         step = max(1, BLOCK // 16)
         for start in range(0, len(self.calls), step):
-            yield b"".join(lines[self.calls[start : start + step]].tolist())
+            yield b"".join(map(lines.__getitem__, self.calls[start : start + step]))
 
 
 @dataclass(frozen=True)
@@ -189,23 +199,50 @@ def ingest(lines: Iterable[str], source: str = "<stream>") -> RawTrace:
     return _ingest_batches(iter(lambda: list(islice(it, 4096)), []), source)
 
 
-def _blocks(path: Path) -> Iterator[bytes]:
+class _LineTooLong(Exception):
+    """A line longer than MAX_LINE bytes, in a file read strictly."""
+
+
+def _blocks(path: Path, strict: bool = False) -> Iterator[bytes]:
     """The file's bytes, about BLOCK at a time, each piece ending at a line
-    end: an LF, or a CR not followed by LF. A last line with no line end
-    gets an LF."""
+    end: LF, CR or CRLF; a CRLF that two reads split keeps only its CR. A
+    last line with no line end gets an LF. A line
+    longer than MAX_LINE bytes raises _LineTooLong if strict; otherwise its
+    first MAX_LINE bytes are kept and the rest is skipped as it streams past.
+
+    Only the line begun in an earlier block and the unfinished tail are
+    measured: with BLOCK <= MAX_LINE, a line inside one block cannot be long."""
+    assert BLOCK <= MAX_LINE
     with path.open("rb") as fh:
-        head: list[bytes] = []  # bytes after the last cut
+        head: list[bytes] = []  # the kept bytes of the line begun after the last cut
+        room = MAX_LINE  # bytes of that line still to keep
+        after_cr = False
         while block := fh.read(BLOCK):
-            # A CR that ends the block may be the first half of a CRLF.
-            cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
+            if after_cr and block.startswith(b"\n"):
+                block = block[1:]  # the LF of a CRLF whose CR ended the last block
+            after_cr = block.endswith(b"\r")
+            cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
             if cut:
-                head.append(block[:cut])
-                yield b"".join(head)
-                head = []
-            head.append(block[cut:])
-        tail = b"".join(head)
-        if tail:
-            yield tail + b"\n"
+                end = 0
+                if cut > room:  # the line head began may end past MAX_LINE
+                    end = min(i for i in (block.find(b"\n"), block.find(b"\r")) if i >= 0)
+                if end > room:
+                    if strict:
+                        raise _LineTooLong
+                    head += (block[:room], block[end:cut])
+                else:
+                    head.append(block[:cut])
+                piece, head, room = b"".join(head), [], MAX_LINE
+                yield piece
+            if strict and len(block) - cut > room:
+                raise _LineTooLong
+            if rest := block[cut : cut + room]:
+                head.append(rest)
+                room -= len(rest)
+        if head:
+            head.append(b"\n")
+            piece, head = b"".join(head), []
+            yield piece
 
 
 def _text_lines(piece: bytes) -> list[str]:
@@ -226,8 +263,8 @@ def ingest_file(path) -> RawTrace:
 def count_table(trace: RawTrace | Iterable[str]) -> CountTable:
     """Count each name's calls; names no call uses are left out."""
     trace = RawTrace.from_names(trace)
-    counts = np.bincount(trace.calls, minlength=len(trace.names)).tolist()
-    return CountTable.from_counts({n: c for n, c in zip(trace.names, counts) if c})
+    counts = Counter(trace.calls)
+    return CountTable.from_counts({n: counts[c] for c, n in enumerate(trace.names) if counts[c]})
 
 
 def write_trace_file(trace: RawTrace, path) -> None:
@@ -244,15 +281,26 @@ def write_count_file(table: CountTable, path) -> None:
 
 
 def read_trace_file(path) -> RawTrace:
-    """Read a trace file; an error names the first invalid line."""
+    """Read a trace file; an error names the first invalid line, a line that
+    is not a syscall name or is longer than MAX_LINE bytes."""
     p = Path(path)
-    # bytes.splitlines splits on \n, \r and \r\n, as text-mode reading does;
-    # a block never ends inside a CRLF.
-    lines = chain.from_iterable(map(bytes.splitlines, _blocks(p)))
+    too_long = False
+
+    def pieces() -> Iterator[bytes]:
+        nonlocal too_long
+        try:
+            yield from _blocks(p, strict=True)
+        except _LineTooLong:
+            too_long = True  # the lines before it are still checked
+
+    # bytes.splitlines splits on \n, \r and \r\n, as text-mode reading does.
+    lines = chain.from_iterable(map(bytes.splitlines, pieces()))
     try:
         trace = RawTrace.from_names(lines)
     except SyscallNameError as e:
         raise ValueError(f"{p}: line {e.position + 1}: {e}") from None
+    if too_long:
+        raise ValueError(f"{p}: line {len(trace.calls) + 1}: longer than {MAX_LINE} bytes")
     trace.source_meta = f"{p.name}: {len(trace.calls)} lines, 0 garbage"
     return trace
 

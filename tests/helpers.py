@@ -73,6 +73,15 @@ def ingest_file_line_by_line(path):
         return ingest_line_by_line(fh, p.name)
 
 
+def capped_text_lines(data, cap):
+    """The lines of file bytes as text-mode reading splits them, each cut to
+    its first cap bytes, then decoded."""
+    lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+    if lines[-1] == b"":
+        del lines[-1]  # the text after the last line end
+    return [line[:cap].decode("utf-8", "replace") for line in lines]
+
+
 def trace_text(names):
     """Trace-file bytes of a name sequence, written name by name."""
     return "".join(f"{n}\n" for n in names).encode("ascii")

@@ -1,3 +1,5 @@
+from array import array
+
 import numpy as np
 import pytest
 
@@ -91,7 +93,7 @@ def test_resolve_stream_takes_a_trace_or_names():
     assert index.resolve_stream(names).tolist() == [1, 2, 0]
     assert index.resolve_stream(RawTrace.from_names(names)).tolist() == [1, 2, 0]
     # a generated trace's names may hold names no call uses
-    gen_shaped = RawTrace(("read", "unused", "write"), np.array([2, 0, 0], dtype=np.int32))
+    gen_shaped = RawTrace(("read", "unused", "write"), array("i", [2, 0, 0]))
     slots = index.resolve_stream(gen_shaped)
     assert slots.tolist() == [1, 0, 0]
     assert slots.dtype == np.int64

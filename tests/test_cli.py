@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import boscids
 from boscids.cli import main
 from boscids.evaluator import write_labels
 
@@ -118,6 +120,18 @@ def test_help_exits_0_and_lists_defaults(capsys):
                    "--train-threshold", "default: 0.99", "--detect-fraction",
                    "default: 0.10", "--config"):
         assert needle in out
+
+
+def test_help_names_every_value_the_library_accepts(capsys):
+    # The parser has no choices= for these flags; its help is their list.
+    from boscids.evaluator import GRANULARITIES
+    from boscids.synth import INJECTION_MODES
+
+    for command, values in (("gen", INJECTION_MODES), ("eval", GRANULARITIES)):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        for value in values:
+            assert value in out, (command, value)
 
 
 def test_gen_deterministic_and_train_byte_identical(tmp_path, capsys):
@@ -339,6 +353,25 @@ def test_invalid_config_values_exit_1_naming_the_flag(tmp_path, capsys):
         assert needle in err, err
 
 
+def test_invalid_flag_values_exit_1_naming_the_field(tmp_path, capsys):
+    # The library checks each value; the parser has no list of its own.
+    report = tmp_path / "r.report"
+    report.write_text("0 10 0 1.0 0\ntotal epochs=1 windows=10 mismatches=0 anomalous_epochs=0 trace_anomalous=0\n")
+    labels = tmp_path / "r.labels"
+    labels.write_text("0\tnormal\n")
+    cases = [
+        (["eval", "--report", str(report), "--labels", str(labels), "--granularity", "hourly"],
+         "granularity"),
+        (["gen", "--calls", "100", "--out", str(tmp_path / "g.trace"), "--inject-mode", "sideways"],
+         "mode"),
+    ]
+    for argv, needle in cases:
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert needle in err, err
+    assert not (tmp_path / "g.trace").exists()
+
+
 def test_config_file_with_crlf_line_ends(tmp_path, capsys):
     trace = tmp_path / "ab.trace"
     write_ab_trace(trace)
@@ -414,11 +447,32 @@ def test_detect_jobs_must_be_positive(tmp_path, capsys):
     assert "jobs" in err
 
 
-def test_import_cli_leaves_generator_and_hashlib_unloaded():
-    # Only gen needs numpy.random; ingest, train, detect and eval should not
-    # pay its import time and memory.
+def _probe(code):
+    """What a fresh interpreter with the package on its path prints for code."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    probe = "import sys, boscids.cli; print(sorted({'numpy.random', 'hashlib'} & set(sys.modules)))"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_import_cli_leaves_generator_and_hashlib_unloaded():
+    # Only gen needs numpy.random, and only gen, train, detect and eval need
+    # numpy; the other commands should not pay its import time and memory.
+    probe = "import sys, boscids.cli; print(sorted({'numpy', 'numpy.random', 'hashlib'} & set(sys.modules)))"
+    assert _probe(probe) == "[]\n"
+
+
+def test_ingest_runs_without_numpy(tmp_path):
+    trace_out, count_out = tmp_path / "out.trace", tmp_path / "out.counts"
+    argv = ["ingest", str(FIXTURES / "mixed.strace"), "--trace-out", str(trace_out), "--count-out", str(count_out)]
+    probe = f"import sys; from boscids import cli; code = cli.main({argv!r}); print(code, 'numpy' in sys.modules)"
+    assert _probe(probe).endswith("\n0 False\n")
+    assert trace_out.read_bytes() == (FIXTURES / "mixed.expected.trace").read_bytes()
+    assert count_out.read_bytes() == (FIXTURES / "mixed.expected.counts").read_bytes()
+
+
+def test_package_exports_resolve_to_their_modules_objects():
+    for name, module in boscids._EXPORTS.items():
+        assert getattr(boscids, name) is getattr(importlib.import_module(f"boscids.{module}"), name)
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        boscids.nope

@@ -1,10 +1,10 @@
 import re
 import tempfile
 import tracemalloc
+from array import array
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,6 +13,7 @@ from boscids import trace_ingest as ti
 from boscids.catalog import SyscallIndex
 from helpers import (
     call_names,
+    capped_text_lines,
     counter_table_entries,
     ingest_file_line_by_line,
     ingest_line_by_line,
@@ -217,7 +218,7 @@ _NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}", fullmatch=True)
 
 
 def _coded_case(names, codes, slots):
-    trace = ti.RawTrace(tuple(names), np.array(codes, dtype=np.int32))
+    trace = ti.RawTrace(tuple(names), array("i", codes))
     return trace, [names[c] for c in codes], SyscallIndex(tuple(n for n in slots if n != "other"))
 
 
@@ -291,6 +292,26 @@ def test_ingest_file_equals_line_by_line_oracle(data, block):
     assert (call_names(trace), trace.source_meta) == expected
 
 
+def _block_and_max_line(top):
+    """BLOCK and MAX_LINE pairs that _blocks accepts: BLOCK <= MAX_LINE."""
+    return st.integers(1, 8).flatmap(lambda block: st.tuples(st.just(block), st.integers(block, top)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TRACER_BYTES, _block_and_max_line(12))
+@example(b"read(0)\r\nwrite(1)\n", (3, 7))  # a line of exactly MAX_LINE bytes, then a CRLF
+@example(b"read(0)\r\nwrite(1)\n", (4, 4))  # a long line ends in a CRLF across blocks
+def test_ingest_file_keeps_the_first_max_line_bytes_of_a_line(data, sizes):
+    block, max_line = sizes
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "t.strace"
+        path.write_bytes(data)
+        with mock.patch.object(ti, "BLOCK", block), mock.patch.object(ti, "MAX_LINE", max_line):
+            trace = ti.ingest_file(path)
+    expected = ingest_line_by_line(capped_text_lines(data, max_line), path.name)
+    assert (call_names(trace), trace.source_meta) == expected
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(st.text(), _CALL_LINES, _TRACER_TEXT)))
 @example(["read(3, <... write resumed>) = 0", "4242 x-y(", "\x0cbrk(", "[pid \u0663] brk("])
@@ -333,27 +354,36 @@ def test_trace_file_round_trip_across_blocks(case, block):
         st.sampled_from([b"\n", b"\r", b"\r\n"]),
     )),
     st.booleans(),
-    st.integers(1, 8),
+    _block_and_max_line(10),
 )
-def test_read_trace_file_across_blocks(lines, final_line_end, block):
+def test_read_trace_file_across_blocks(lines, final_line_end, sizes):
+    block, max_line = sizes
     data = b"".join(name + end for name, end in lines)
     if lines and not final_line_end:
         data = data[: -len(lines[-1][1])]
-    # The whole file split at once, as text-mode reading splits it.
+    # The whole file split at once, as text-mode reading splits it. The read
+    # stops at a long line, so it fails there unless a bad name comes first.
     names = data.splitlines()
-    bad = [i for i, n in enumerate(names) if not re.fullmatch(rb"[A-Za-z_][A-Za-z0-9_]*", n)]
-    with tempfile.TemporaryDirectory() as d, mock.patch.object(ti, "BLOCK", block):
+    long = [i for i, n in enumerate(names) if len(n) > max_line]
+    names_read = names[: long[0]] if long else names
+    bad = [i for i, n in enumerate(names_read) if not re.fullmatch(rb"[A-Za-z_][A-Za-z0-9_]*", n)]
+    with tempfile.TemporaryDirectory() as d, \
+            mock.patch.object(ti, "BLOCK", block), mock.patch.object(ti, "MAX_LINE", max_line):
         path = Path(d) / "t.trace"
         path.write_bytes(data)
         if bad:
-            with pytest.raises(ValueError, match="^" + re.escape(f"{path}: line {bad[0] + 1}: ")):
+            with pytest.raises(ValueError, match="^" + re.escape(f"{path}: line {bad[0] + 1}: invalid")):
+                ti.read_trace_file(path)
+        elif long:
+            message = f"{path}: line {long[0] + 1}: longer than {max_line} bytes"
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
                 ti.read_trace_file(path)
         else:
             assert call_names(ti.read_trace_file(path)) == [n.decode() for n in names]
 
 
 def test_ingest_and_read_memory_is_bounded_by_the_calls(tmp_path):
-    # Peaks count the coded calls (np.fromiter may hold two copies while it
+    # Peaks count the coded calls (the array may hold two copies while it
     # grows) plus a few blocks, never a line of text per call.
     line = b'[pid  4242] openat(AT_FDCWD, "/usr/lib/libc.so", O_RDONLY|O_CLOEXEC) = 3\n'
     strace = tmp_path / "big.strace"
@@ -367,4 +397,30 @@ def test_ingest_and_read_memory_is_bounded_by_the_calls(tmp_path):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * trace.calls.nbytes + 2 * 2**20, (path.name, peak)
+        assert peak < 2 * memoryview(trace.calls).nbytes + 2 * 2**20, (path.name, peak)
+
+
+def test_a_line_with_no_end_is_read_in_bounded_memory(tmp_path):
+    # 64 MiB with no line end: ingest keeps the line's first MAX_LINE bytes
+    # and the trace reader fails at it, each holding at most about two
+    # lines of MAX_LINE bytes and a block.
+    strace, names = tmp_path / "long.strace", tmp_path / "long.trace"
+    for path, start in ((strace, b"write(1) = 1\nread("), (names, b"write\nread")):
+        with path.open("wb") as fh:
+            fh.write(start)
+            for _ in range(64):
+                fh.write(b"x" * 2**20)
+    bound = 2 * ti.MAX_LINE + ti.BLOCK + 2 * 2**20
+    tracemalloc.start()
+    try:
+        trace = ti.ingest_file(strace)
+        assert tracemalloc.get_traced_memory()[1] < bound
+        tracemalloc.reset_peak()
+        message = f"{names}: line 2: longer than {ti.MAX_LINE} bytes"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            ti.read_trace_file(names)
+        assert tracemalloc.get_traced_memory()[1] < bound
+    finally:
+        tracemalloc.stop()
+    assert call_names(trace) == ["write", "read"]
+    assert trace.source_meta == "long.strace: 2 lines, 0 garbage"
