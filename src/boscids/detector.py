@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .bosc import unique_window_bags
-from .trace_ingest import read_text
+from .trace_ingest import quoted, read_text, to_int
 from .trainer import TrainedModel
 
 log = logging.getLogger(__name__)
@@ -135,11 +135,11 @@ def read_report_file(path) -> DetectionReport:
     for i, line in enumerate(lines[:-1], start=1):
         m = _ROW_RE.fullmatch(line)
         if m is None:
-            raise ValueError(f"{p}: line {i}: expected `epoch windows mismatches threshold 0|1`, got {line!r}")
-        verdicts.append(EpochVerdict(int(m[1]), int(m[2]), float(m[3])))
+            raise ValueError(f"{p}: line {i}: expected `epoch windows mismatches threshold 0|1`, got {quoted(line)}")
+        verdicts.append(EpochVerdict(to_int(m[1], p, i, "windows"), to_int(m[2], p, i, "mismatches"), float(m[3])))
     dropped = re.search(r" dropped_tail_calls=([0-9]+)\n", lines[-1])
-    report = DetectionReport(verdicts, int(dropped[1]) if dropped else 0)
+    report = DetectionReport(verdicts, to_int(dropped[1], p, len(lines), "dropped_tail_calls") if dropped else 0)
     for i, (line, written) in enumerate(zip(lines, format_report(report).splitlines(keepends=True)), start=1):
         if line != written:
-            raise ValueError(f"{p}: line {i}: {line!r} should read {written!r}")
+            raise ValueError(f"{p}: line {i}: {quoted(line, 120)} should read {written!r}")
     return report

@@ -5,17 +5,18 @@ The tracer writes one event per line: ordinary calls, `<unfinished ...>` /
 exit notices (`+++ exited ... +++`). Only the syscall names survive here;
 arguments, return values, and PIDs are stripped.
 
-Files are read in blocks of BLOCK bytes, each cut after its last line end,
-so memory holds one block and the coded calls, never the whole text. Lines
-follow text-mode reading: UTF-8 with undecodable bytes replaced, CR and CRLF
-read as LF, and only LF ending a line. Most tracer lines are settled by one
+Files are read in text mode as latin-1, one character per byte, BLOCK
+characters at a time, and each block is cut after its last line end; so
+memory holds one block and the coded calls, never the whole text. Text mode
+reads CR and CRLF as LF, and only LF ends a line; a capture's lines are then
+UTF-8 with undecodable bytes replaced. Most tracer lines are settled by one
 anchored pattern, a call or unfinished line with an optional pid prefix;
 every other line, and any line holding `<...`, goes whole to parse_line,
 which classifies every line shape and never raises.
 
 A line longer than MAX_LINE bytes is classified by its first MAX_LINE bytes
-in a capture and fails a trace file, so memory stays bounded on input with
-no line ends.
+in a capture and fails a trace or count file, so memory stays bounded on
+input with no line ends.
 
 A trace is dictionary-coded, like Arrow's DictionaryArray or pandas'
 Categorical: distinct names plus one int32 code per call, in an
@@ -43,7 +44,7 @@ _NAME_BEFORE_PAREN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\(\Z")
 # pid prefix parse_line removes, then the name and the first `(`.
 _CALL_RE = re.compile(r"[ \t]*(?:\[pid +[0-9]+\] *|[0-9]+ +)?([A-Za-z_][A-Za-z0-9_]*)\(")
 
-BLOCK = 1 << 16  # bytes of a file read at a time
+BLOCK = 1 << 16  # characters (latin-1 bytes) of a file read at a time
 MAX_LINE = 1 << 20  # bytes of a line kept
 
 
@@ -57,11 +58,19 @@ class RawTraceLine:
     name: str | None = None
 
 
+def quoted(text: str, limit: int = 40) -> str:
+    """repr of text, non-ASCII escaped; a longer text shows its first limit
+    characters and its length."""
+    shown = repr(text[:limit].encode("ascii", "backslashreplace").decode("ascii"))
+    return shown if len(text) <= limit else f"{shown}... ({len(text)} characters)"
+
+
 class SyscallNameError(ValueError):
     """An invalid syscall name, first called at index position."""
 
     def __init__(self, name: object, position: int):
-        super().__init__(f"invalid syscall name {name!r}")
+        shown = quoted(name) if isinstance(name, str) else repr(name)
+        super().__init__(f"invalid syscall name {shown}")
         self.position = position
 
 
@@ -76,9 +85,9 @@ class RawTrace:
     source_meta: str = ""
 
     @classmethod
-    def from_names(cls, seq: "RawTrace | Iterable[str | bytes]") -> "RawTrace":
-        """Code a sequence of syscall names (str, or ASCII bytes), checking
-        each distinct name once; any other item, an int included, raises
+    def from_names(cls, seq: "RawTrace | Iterable[str]") -> "RawTrace":
+        """Code a sequence of syscall names, checking each distinct name
+        once; any item that is not a str, bytes and ints included, raises
         SyscallNameError. A RawTrace passes through unchanged."""
         if isinstance(seq, RawTrace):
             return seq
@@ -90,13 +99,10 @@ class RawTrace:
         calls = array("i")
         while chunk := list(islice(codes, 1 << 12)):
             calls.fromlist(chunk)
-        names = []
-        for code, raw in enumerate(code_of):
-            name = raw.decode("ascii", "backslashreplace") if isinstance(raw, bytes) else raw
+        for code, name in enumerate(code_of):
             if not (isinstance(name, str) and SYSCALL_NAME_RE.fullmatch(name)):
                 raise SyscallNameError(name, calls.index(code))
-            names.append(name)
-        return cls(tuple(names), calls)
+        return cls(tuple(code_of), calls)
 
     def file_chunks(self) -> Iterator[bytes]:
         """The trace file's content, a chunk of calls at a time: one name
@@ -199,65 +205,40 @@ def ingest(lines: Iterable[str], source: str = "<stream>") -> RawTrace:
     return _ingest_batches(iter(lambda: list(islice(it, 4096)), []), source)
 
 
-class _LineTooLong(Exception):
-    """A line longer than MAX_LINE bytes, in a file read strictly."""
-
-
-def _blocks(path: Path, strict: bool = False) -> Iterator[bytes]:
-    """The file's bytes, about BLOCK at a time, each piece ending at a line
-    end: LF, CR or CRLF; a CRLF that two reads split keeps only its CR. A
-    last line with no line end gets an LF. A line
-    longer than MAX_LINE bytes raises _LineTooLong if strict; otherwise its
-    first MAX_LINE bytes are kept and the rest is skipped as it streams past.
-
-    Only the line begun in an earlier block and the unfinished tail are
-    measured: with BLOCK <= MAX_LINE, a line inside one block cannot be long."""
+def _pieces(path: Path, cap: int) -> Iterator[str]:
+    """The file's text, about BLOCK characters at a time, each piece ending
+    in an LF. Latin-1 reads one character per byte, and text mode reads CR
+    and CRLF as LF; a last line with no line end gets one. A line keeps its
+    first cap characters; only a piece's first line, begun in an earlier
+    block, can be longer than BLOCK, so only it is cut."""
     assert BLOCK <= MAX_LINE
-    with path.open("rb") as fh:
-        head: list[bytes] = []  # the kept bytes of the line begun after the last cut
-        room = MAX_LINE  # bytes of that line still to keep
-        after_cr = False
+    with path.open(encoding="latin-1", newline=None) as fh:
+        head = ""  # the kept start of the line begun after the last cut
         while block := fh.read(BLOCK):
-            if after_cr and block.startswith(b"\n"):
-                block = block[1:]  # the LF of a CRLF whose CR ended the last block
-            after_cr = block.endswith(b"\r")
-            cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
+            cut = block.rfind("\n") + 1
             if cut:
-                end = 0
-                if cut > room:  # the line head began may end past MAX_LINE
-                    end = min(i for i in (block.find(b"\n"), block.find(b"\r")) if i >= 0)
-                if end > room:
-                    if strict:
-                        raise _LineTooLong
-                    head += (block[:room], block[end:cut])
-                else:
-                    head.append(block[:cut])
-                piece, head, room = b"".join(head), [], MAX_LINE
-                yield piece
-            if strict and len(block) - cut > room:
-                raise _LineTooLong
-            if rest := block[cut : cut + room]:
-                head.append(rest)
-                room -= len(rest)
+                end = block.index("\n")
+                yield (head + block[:end])[:cap] + block[end:cut]
+                head = block[cut:]
+            elif len(head) < cap:
+                head += block[: cap - len(head)]
         if head:
-            head.append(b"\n")
-            piece, head = b"".join(head), []
-            yield piece
+            yield head + "\n"
 
 
-def _text_lines(piece: bytes) -> list[str]:
-    """A block's lines, as text-mode reading gives them, without line ends."""
-    if b"\r" in piece:
-        piece = piece.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    lines = piece.decode("utf-8", "replace").split("\n")
-    del lines[-1]  # the empty text after the block's last LF
+def _lines(piece: str) -> list[str]:
+    """A piece's lines, without their LFs."""
+    lines = piece.split("\n")
+    del lines[-1]  # the empty text after the piece's last LF
     return lines
 
 
 def ingest_file(path) -> RawTrace:
-    """ingest over the lines of a tracer text file, read a block at a time."""
+    """ingest over the lines of a tracer text file, read a block at a time;
+    a line is UTF-8 with undecodable bytes replaced."""
     p = Path(path)
-    return _ingest_batches(map(_text_lines, _blocks(p)), p.name)
+    texts = (piece.encode("latin-1").decode("utf-8", "replace") for piece in _pieces(p, MAX_LINE))
+    return _ingest_batches(map(_lines, texts), p.name)
 
 
 def count_table(trace: RawTrace | Iterable[str]) -> CountTable:
@@ -286,17 +267,16 @@ def read_trace_file(path) -> RawTrace:
     p = Path(path)
     too_long = False
 
-    def pieces() -> Iterator[bytes]:
+    def pieces() -> Iterator[str]:
         nonlocal too_long
-        try:
-            yield from _blocks(p, strict=True)
-        except _LineTooLong:
-            too_long = True  # the lines before it are still checked
+        for piece in _pieces(p, MAX_LINE + 1):
+            if piece.index("\n") > MAX_LINE:
+                too_long = True  # the lines before it are still checked
+                return
+            yield piece
 
-    # bytes.splitlines splits on \n, \r and \r\n, as text-mode reading does.
-    lines = chain.from_iterable(map(bytes.splitlines, pieces()))
     try:
-        trace = RawTrace.from_names(lines)
+        trace = RawTrace.from_names(chain.from_iterable(map(_lines, pieces())))
     except SyscallNameError as e:
         raise ValueError(f"{p}: line {e.position + 1}: {e}") from None
     if too_long:
@@ -316,21 +296,31 @@ def read_text(path, encoding: str = "ascii") -> str:
         raise ValueError(f"{p}: line {line}: byte {data[e.start]:#04x} is not {encoding}") from None
 
 
+def to_int(digits: str, path: Path, line: int, what: str) -> int:
+    """int(digits); more digits than int() converts fail, naming file and line."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(f"{path}: line {line}: {what} has too many digits") from None
+
+
 def read_count_file(path) -> CountTable:
     """Read a count file; a count is ASCII digits only."""
     p = Path(path)
     counts: dict[str, int] = {}
-    for i, line in enumerate(p.read_bytes().splitlines(), start=1):
-        # Escaped non-ASCII bytes fail both the name and the count check.
-        parts = line.decode("ascii", "backslashreplace").split("\t")
+    for i, line in enumerate(chain.from_iterable(map(_lines, _pieces(p, MAX_LINE + 1))), start=1):
+        if len(line) > MAX_LINE:
+            raise ValueError(f"{p}: line {i}: longer than {MAX_LINE} bytes")
+        # Non-ASCII characters fail both the name and the count check.
+        parts = line.split("\t")
         if len(parts) != 2 or not SYSCALL_NAME_RE.fullmatch(parts[0]):
             raise ValueError(f"{p}: line {i}: expected `name<TAB>count`")
         name, raw = parts
         if name in counts:
-            raise ValueError(f"{p}: line {i}: duplicate name {name!r}")
-        if not raw.isdigit():
-            raise ValueError(f"{p}: line {i}: count {raw!r} is not an integer")
-        count = int(raw)
+            raise ValueError(f"{p}: line {i}: duplicate name {quoted(name)}")
+        if not (raw.isascii() and raw.isdigit()):
+            raise ValueError(f"{p}: line {i}: count {quoted(raw)} is not an integer")
+        count = to_int(raw, p, i, "count")
         if count < 1:
             raise ValueError(f"{p}: line {i}: count must be positive")
         counts[name] = count

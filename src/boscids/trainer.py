@@ -14,7 +14,7 @@ import numpy as np
 
 from .bosc import CHUNK, Bags, BehaviorDb, Config, unique_window_bags
 from .catalog import OTHER_NAME, SyscallIndex, build_index
-from .trace_ingest import SYSCALL_NAME_RE, CountTable, RawTrace, count_table
+from .trace_ingest import SYSCALL_NAME_RE, CountTable, RawTrace, count_table, quoted
 
 log = logging.getLogger(__name__)
 
@@ -201,6 +201,7 @@ class _LineReader:
 
 
 _INT64_MAX = np.iinfo(np.int64).max
+_SIZE = "(0|[1-9][0-9]{0,18})"  # as save_model writes a size: an int64, no leading 0
 
 
 @functools.cache
@@ -215,9 +216,14 @@ def _entry_error(line: str, n_s: int, w: int) -> str:
     if ":" not in line:
         return "missing ':' separator"
     m = re.fullmatch(r"((?:-?[0-9]+ )+): (-?[0-9]+)", line)
-    if m is None or int(m.group(2)) > _INT64_MAX:
+    if m is None:
         return f"unparseable {line!r}"
-    counts, freq = [int(t) for t in m.group(1).split()], int(m.group(2))
+    try:
+        counts, freq = [int(t) for t in m.group(1).split()], int(m.group(2))
+    except ValueError:  # more digits than int() converts
+        return "a number has too many digits"
+    if freq > _INT64_MAX:
+        return f"unparseable {line!r}"
     if len(counts) != n_s:
         return f"{len(counts)} counts, expected {n_s}"
     if freq < 1 or min(counts) < 0:
@@ -277,11 +283,9 @@ def load_model(path) -> TrainedModel:
     rd.next("version")
 
     params = rd.next("params")
-    m = re.fullmatch(
-        r"w=(\d+) S=(\d+) Tt=([0-9.eE+-]+) TdFrac=([0-9.eE+-]+)", params
-    )
+    m = re.fullmatch(f"w={_SIZE} S={_SIZE} Tt=([0-9.eE+-]+) TdFrac=([0-9.eE+-]+)", params)
     if m is None:
-        raise ModelFormatError("params", f"bad parameter line {params!r}")
+        raise ModelFormatError("params", f"bad parameter line {quoted(params)}")
     try:
         config = Config(
             window_size=int(m.group(1)),
@@ -292,12 +296,12 @@ def load_model(path) -> TrainedModel:
     except ValueError as e:
         raise ModelFormatError("params", str(e)) from None
     if params != _params_line(config):
-        raise ModelFormatError("params", f"bad parameter line {params!r}")
+        raise ModelFormatError("params", f"bad parameter line {quoted(params)}")
 
     sizes = rd.next("index")
-    m = re.fullmatch(r"ns=(\d+) retained=(\d+)", sizes)
-    if m is None or sizes != f"ns={int(m.group(1))} retained={int(m.group(2))}":
-        raise ModelFormatError("index", f"bad size line {sizes!r}")
+    m = re.fullmatch(f"ns={_SIZE} retained={_SIZE}", sizes)
+    if m is None:
+        raise ModelFormatError("index", f"bad size line {quoted(sizes)}")
     n_s, retained = int(m.group(1)), int(m.group(2))
     if n_s != retained + 1:
         raise ModelFormatError("index", f"ns={n_s} does not equal retained+1={retained + 1}")
@@ -313,9 +317,9 @@ def load_model(path) -> TrainedModel:
     index = SyscallIndex(tuple(slots))
 
     header = rd.next("entries")
-    m = re.fullmatch(r"entries=(\d+)", header)
-    if m is None or header != f"entries={int(m.group(1))}":
-        raise ModelFormatError("entries", f"bad entry header {header!r}")
+    m = re.fullmatch(f"entries={_SIZE}", header)
+    if m is None:
+        raise ModelFormatError("entries", f"bad entry header {quoted(header)}")
     n_entries = int(m.group(1))
     key_chunks, freq_chunks = [], []
     # Bounded memory: one chunk of entry lines at a time, and a forged
@@ -338,9 +342,9 @@ def load_model(path) -> TrainedModel:
     db.freeze()
 
     header = rd.next("history")
-    m = re.fullmatch(r"history=(\d+)", header)
-    if m is None or header != f"history={int(m.group(1))}":
-        raise ModelFormatError("history", f"bad history header {header!r}")
+    m = re.fullmatch(f"history={_SIZE}", header)
+    if m is None:
+        raise ModelFormatError("history", f"bad history header {quoted(header)}")
     history = []
     for i in range(int(m.group(1))):
         line = rd.next("history")
@@ -348,11 +352,11 @@ def load_model(path) -> TrainedModel:
             k_str, cos_str = line.split()
             k, cos = int(k_str), float(cos_str)
         except ValueError:
-            raise ModelFormatError("history", f"record {i}: unparseable {line!r}") from None
+            raise ModelFormatError("history", f"record {i}: unparseable {quoted(line)}") from None
         if k != i + 2:
             raise ModelFormatError("history", f"record {i}: epoch {k}, expected {i + 2}")
         if line != _history_line(k, cos):
-            raise ModelFormatError("history", f"record {i}: unparseable {line!r}")
+            raise ModelFormatError("history", f"record {i}: unparseable {quoted(line)}")
         history.append(cos)
     if not rd.exhausted():
         raise ModelFormatError("structure", "unexpected trailing content before checksum")

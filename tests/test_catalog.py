@@ -101,6 +101,6 @@ def test_resolve_stream_takes_a_trace_or_names():
 
 def test_resolve_stream_rejects_int_streams():
     index = build_index(CountTable((("read", 10),)))
-    for stream in ([0, 2], np.array([1, 1], dtype=np.int32)):
+    for stream in ([0, 2], np.array([1, 1], dtype=np.int32), [b"read"]):
         with pytest.raises(ValueError, match="invalid syscall name"):
             index.resolve_stream(stream)

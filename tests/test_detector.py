@@ -225,9 +225,13 @@ def test_format_report_rows():
         ("0 -4996 0 500.0 0\ntotal epochs=1 windows=-4996 mismatches=0 anomalous_epochs=0 trace_anomalous=0\n",
          "line 1: expected .*, got '0 -4996 0 500.0 0"),
         ("0 3 0 0.4 0\ntotal epochs=1\n", "line 2: 'total epochs=1.* should read 'total epochs=1 windows=3 "),
+        # more digits than int() converts, and no message quotes them all
+        ("0 " + "9" * 5000 + " 0 0.4 0\ntotal epochs=1 windows=3 mismatches=0 anomalous_epochs=0 "
+         "trace_anomalous=0\n", "line 1: windows has too many digits$"),
     ],
     ids=["totals", "trace_anomalous", "flag", "number", "no-summary", "non-ascii",
-         "swapped-rows", "contradicted-flag", "negative-windows", "short-summary"],
+         "swapped-rows", "contradicted-flag", "negative-windows", "short-summary",
+         "5000-digit-windows"],
 )
 def test_read_report_rejects_inconsistent_file(tmp_path, text, match):
     path = tmp_path / "r.report"

@@ -32,6 +32,21 @@ oracle = _load("oracle")
 strace_render = _load("strace_render")
 
 
+def test_benchmark_hooks_resolve_but_the_two_deleted():
+    # The benchmark times functions it looks up by name; a renamed one would
+    # silently drop its per-layer metric. Only the two spans removed with the
+    # snapshot/db_diff path are known to be gone.
+    spans = _load("spans")
+    missing = []
+    for module_name, attr, _ in spans.TARGETS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert missing == ["boscids.bosc.BehaviorDb.snapshot", "boscids.trainer.db_diff"]
+
+
 def run(*argv):
     with redirect_stdout(io.StringIO()) as out:
         code = main([str(a) for a in argv])

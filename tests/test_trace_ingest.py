@@ -198,6 +198,19 @@ def test_read_trace_file_rejects_bad_names(tmp_path):
             ti.read_trace_file(path)
 
 
+def test_a_long_invalid_name_is_quoted_short(tmp_path):
+    # The message shows an escaped prefix and the length, never the whole name.
+    path = tmp_path / "t.trace"
+    path.write_bytes(b"read\n" + b"x y" * 300_000 + b"\n")
+    message = f"{path}: line 2: invalid syscall name {'x y' * 13 + 'x'!r}... (900000 characters)"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$") as exc:
+        ti.read_trace_file(path)
+    assert len(str(exc.value).encode()) < 200
+    # A name given to the library is quoted the same way, non-ASCII escaped.
+    with pytest.raises(ti.SyscallNameError, match=re.escape(r"invalid syscall name 'wr\\xe9te'") + "$"):
+        ti.RawTrace.from_names(["read", "wr\xe9te"])
+
+
 def test_read_count_file_rejects_duplicates(tmp_path):
     path = tmp_path / "bad.counts"
     path.write_text("read\t2\nread\t1\n")
@@ -205,8 +218,9 @@ def test_read_count_file_rejects_duplicates(tmp_path):
         ti.read_count_file(path)
 
 
-@pytest.mark.parametrize("count", [b"x", b"1.5", b"", b"1_0", b" 7", b"7\xc3\xa9"],
-                         ids=["letter", "decimal", "empty", "underscore", "space", "non-ascii"])
+@pytest.mark.parametrize("count", [b"x", b"1.5", b"", b"1_0", b" 7", b"7\xc3\xa9", b"9" * 5000],
+                         ids=["letter", "decimal", "empty", "underscore", "space", "non-ascii",
+                              "5000-digits"])
 def test_read_count_file_rejects_non_integer_count(tmp_path, count):
     path = tmp_path / "t.counts"
     path.write_bytes(b"read\t9\nwrite\t" + count + b"\n")
@@ -293,7 +307,7 @@ def test_ingest_file_equals_line_by_line_oracle(data, block):
 
 
 def _block_and_max_line(top):
-    """BLOCK and MAX_LINE pairs that _blocks accepts: BLOCK <= MAX_LINE."""
+    """BLOCK and MAX_LINE pairs that _pieces accepts: BLOCK <= MAX_LINE."""
     return st.integers(1, 8).flatmap(lambda block: st.tuples(st.just(block), st.integers(block, top)))
 
 
@@ -382,6 +396,54 @@ def test_read_trace_file_across_blocks(lines, final_line_end, sizes):
             assert call_names(ti.read_trace_file(path)) == [n.decode() for n in names]
 
 
+_COUNT_LINES = st.one_of(
+    st.tuples(_NAMES, st.integers(0, 10**6)).map(lambda nc: f"{nc[0]}\t{nc[1]}".encode()),
+    # Not a count line: empty, a bad name, no count, a non-ASCII name or
+    # count (\xb2 is a superscript two in latin-1), a third field.
+    st.sampled_from([b"", b"x-y\t1", b"read\t", b"wr\xc3\xa9te\t3", b"read\t\xb2", b"read\t1\t2"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_COUNT_LINES, st.sampled_from([b"\n", b"\r", b"\r\n"]))),
+    st.booleans(),
+    st.integers(1, 8),
+)
+@example([(b"read\t3", b"\r\n"), (b"write\t1", b"\n")], True, 7)  # a CRLF across a block boundary
+def test_read_count_file_across_blocks(lines, final_line_end, block):
+    data = b"".join(line + end for line, end in lines)
+    if lines and not final_line_end:
+        data = data[: -len(lines[-1][1])]
+    # The whole file split at once, as text-mode reading splits it; the
+    # first bad line fails, for the first of these reasons that applies.
+    counts, bad = {}, None
+    for i, line in enumerate(data.splitlines(), start=1):
+        name, tab, count = line.partition(b"\t")
+        if not (tab and re.fullmatch(rb"[A-Za-z_][A-Za-z0-9_]*", name)) or b"\t" in count:
+            bad = (i, "expected `name<TAB>count`")
+        elif name.decode() in counts:
+            bad = (i, "duplicate name")
+        elif not re.fullmatch(rb"[0-9]+", count):
+            bad = (i, "is not an integer")
+        elif int(count) < 1:
+            bad = (i, "count must be positive")
+        else:
+            counts[name.decode()] = int(count)
+            continue
+        break
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(ti, "BLOCK", block):
+        path = Path(d) / "t.counts"
+        path.write_bytes(data)
+        if bad:
+            with pytest.raises(ValueError, match="^" + re.escape(f"{path}: line {bad[0]}: ") + ".*" + re.escape(bad[1])):
+                ti.read_count_file(path)
+        else:
+            entries = ti.read_count_file(path).entries
+    if not bad:
+        assert entries == tuple(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
+
+
 def test_ingest_and_read_memory_is_bounded_by_the_calls(tmp_path):
     # Peaks count the coded calls (the array may hold two copies while it
     # grows) plus a few blocks, never a line of text per call.
@@ -402,10 +464,11 @@ def test_ingest_and_read_memory_is_bounded_by_the_calls(tmp_path):
 
 def test_a_line_with_no_end_is_read_in_bounded_memory(tmp_path):
     # 64 MiB with no line end: ingest keeps the line's first MAX_LINE bytes
-    # and the trace reader fails at it, each holding at most about two
-    # lines of MAX_LINE bytes and a block.
-    strace, names = tmp_path / "long.strace", tmp_path / "long.trace"
-    for path, start in ((strace, b"write(1) = 1\nread("), (names, b"write\nread")):
+    # and the trace and count readers fail at it, each holding at most about
+    # two lines of MAX_LINE bytes and a block.
+    strace, names, counts = tmp_path / "long.strace", tmp_path / "long.trace", tmp_path / "long.counts"
+    for path, start in ((strace, b"write(1) = 1\nread("), (names, b"write\nread"),
+                        (counts, b"write\t1\nread\t")):
         with path.open("wb") as fh:
             fh.write(start)
             for _ in range(64):
@@ -419,6 +482,11 @@ def test_a_line_with_no_end_is_read_in_bounded_memory(tmp_path):
         message = f"{names}: line 2: longer than {ti.MAX_LINE} bytes"
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             ti.read_trace_file(names)
+        assert tracemalloc.get_traced_memory()[1] < bound
+        tracemalloc.reset_peak()
+        message = f"{counts}: line 2: longer than {ti.MAX_LINE} bytes"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            ti.read_count_file(counts)
         assert tracemalloc.get_traced_memory()[1] < bound
     finally:
         tracemalloc.stop()

@@ -270,10 +270,12 @@ def reseal(path, old: bytes, new: bytes):
         (b"\n1 1 0 : 9\n", b"\n+1 1 0 : 9\n", "entry 0: unparseable '+1 1 0 : 9'"),
         (b"\n1 1 0 : 9\n", b"\n1 1 0 : 1_0\n", "entry 0: unparseable '1 1 0 : 1_0'"),
         (b"\n1 1 0 : 9\n", b"\n1  1 0 : 9\n", "entry 0: unparseable '1  1 0 : 9'"),
+        (b"\n1 1 0 : 9\n", b"\n1 1 0 : " + b"9" * 5000 + b"\n", "entry 0: a number has too many digits"),
     ],
     ids=["missing-colon", "unparseable", "count", "negative", "freq-0", "sum", "freq-beyond-int64",
          "sum-wraps-to-w", "count-beyond-uint64",
-         "second-entry", "leading-zero", "plus-sign", "underscore", "double-space"],
+         "second-entry", "leading-zero", "plus-sign", "underscore", "double-space",
+         "freq-5000-digits"],
 )
 def test_load_rejects_bad_entry(tmp_path, old, new, message):
     p = tmp_path / "m.model"
@@ -296,9 +298,13 @@ def test_load_rejects_bad_entry(tmp_path, old, new, message):
         (b"\nhistory=2\n", b"\nhistory=02\n", "history"),
         (b"\n2 1.000000000\n", b"\n2 1.0000000000\n", "history"),
         (b"\n2 1.000000000\n", b"\n2  1.000000000\n", "history"),
+        (b"\nw=2 S=4 ", b"\nw=" + b"2" * 5000 + b" S=4 ", "params"),
+        (b"\nentries=1\n", b"\nentries=" + b"9" * 5000 + b"\n", "entries"),
+        (b"\nhistory=2\n", b"\nhistory=" + b"9" * 5000 + b"\n", "history"),
     ],
     ids=["w-leading-zero", "Tt-trailing-zero", "ns-leading-zero", "entries-leading-zero",
-         "history-leading-zero", "cos-tenth-digit", "record-double-space"],
+         "history-leading-zero", "cos-tenth-digit", "record-double-space",
+         "w-5000-digits", "entries-5000-digits", "history-5000-digits"],
 )
 def test_load_rejects_non_canonical_header(tmp_path, old, new, section):
     p = tmp_path / "m.model"
