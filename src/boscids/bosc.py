@@ -4,15 +4,16 @@ A bag (BoSC) is a window's per-slot count vector. Train, detect and the
 model loader all handle bags as bag keys: the window's slots complemented
 (n_s-1-s), sorted descending, written as big-endian uint32 and viewed as one
 np.void of 4*w bytes. Equal bags have equal keys, and ascending byte order of
-keys is ascending lexicographic order of the count vectors, so keys sort,
-unique and search without ever being decoded. Keys are exact for every
-n_s < 2**32 and every w. Count vectors appear only at the edges: the model
-file, written from BehaviorDb.chunks() and read back through
-Bags.from_counts, and the pure bag_of reference.
+keys is ascending lexicographic order of the count vectors, so keys sort and
+unique without being decoded, and the db looks their bytes up in a dict.
+Keys are exact for every n_s < 2**32 and every w. Count vectors appear only
+at the edges: the model file, written from BehaviorDb.chunks() and read
+back through Bags.from_counts, and the pure bag_of reference.
 """
 
 import logging
 from dataclasses import dataclass
+from itertools import count, filterfalse, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -71,7 +72,7 @@ def bag_of(window: Sequence[int], n_s: int) -> BoSC:
     return tuple(counts)
 
 
-def _keys_of_sorted(slots: np.ndarray, n_s: int) -> np.ndarray:
+def _keys_of(slots: np.ndarray, n_s: int) -> np.ndarray:
     """Bag keys of (m, w) windows whose slots are sorted ascending per row."""
     c = np.ascontiguousarray(n_s - 1 - slots, dtype=">u4")
     return c.view(np.dtype((np.void, 4 * c.shape[1]))).ravel()
@@ -102,7 +103,7 @@ class Bags:
             raise ValueError("bag counts must be non-negative and sum to the same window size")
         m, n_s = rows.shape
         slots = np.repeat(np.tile(np.arange(n_s), m), rows.ravel()).reshape(m, int(sums[0]))
-        return cls(_keys_of_sorted(slots, n_s), n_s)
+        return cls(_keys_of(slots, n_s), n_s)
 
     def counts(self) -> np.ndarray:
         """Decode to the (len, n_s) count matrix, one row per key."""
@@ -120,7 +121,7 @@ def unique_window_bags(slots, w: int, n_s: int) -> tuple[Bags, np.ndarray]:
     if arr.min() < 0 or arr.max() >= n_s:
         raise ValueError(f"slot out of range for n_s={n_s}")
     win = np.sort(np.lib.stride_tricks.sliding_window_view(arr, w), axis=1)
-    keys, counts = np.unique(_keys_of_sorted(win, n_s), return_counts=True)
+    keys, counts = np.unique(_keys_of(win, n_s), return_counts=True)
     return Bags(keys, n_s), counts
 
 
@@ -132,27 +133,27 @@ class BehaviorDb:
     """Bag frequencies in first-insertion order, which is stable under later
     increments.
 
-    Holds the bag keys sorted, each one's insertion position, and the int64
-    frequencies in insertion order. n_s and w (the key size) come from the
-    first insert. Single-writer during training; freeze() makes it safe for
-    any number of concurrent readers.
+    A dict maps each bag key's bytes to its insertion position, and the int64
+    frequencies are kept in that order. An epoch's bags come in key byte
+    order, so that order sets where its new bags are appended. n_s and w (the
+    key size) come from the first insert. Single-writer during training;
+    freeze() makes it safe for any number of concurrent readers.
     """
 
     def __init__(self):
         self._n_s: int | None = None
+        self._dtype: np.dtype | None = None
+        self._pos: dict[bytes, int] = {}
         self._freq = np.zeros(0, dtype=np.int64)
-        self._sorted = np.zeros(0, dtype=np.void)
-        self._sorted_pos = np.zeros(0, dtype=np.int64)
         self._frozen = False
 
     def __len__(self) -> int:
-        return int(self._freq.shape[0])
+        return len(self._pos)
 
     def chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(count matrix, frequencies) of up to CHUNK bags at a time, in
         insertion order."""
-        keys = np.empty_like(self._sorted)
-        keys[self._sorted_pos] = self._sorted
+        keys = np.frombuffer(b"".join(self._pos), self._dtype)
         for lo in range(0, len(self), CHUNK):
             yield Bags(keys[lo : lo + CHUNK], self._n_s).counts(), self._freq[lo : lo + CHUNK]
 
@@ -163,14 +164,9 @@ class BehaviorDb:
 
     def positions(self, bags: Bags) -> np.ndarray:
         """Each bag's insertion position, or -1 where the db lacks it."""
-        pos = np.full(len(bags), -1, dtype=np.int64)
-        if (bags.n_s, bags.keys.dtype) != (self._n_s, self._sorted.dtype) or not len(self):
-            return pos
-        idx = np.searchsorted(self._sorted, bags.keys)
-        at = np.minimum(idx, len(self) - 1)
-        hit = self._sorted[at] == bags.keys
-        pos[hit] = self._sorted_pos[at[hit]]
-        return pos
+        if (bags.n_s, bags.keys.dtype) != (self._n_s, self._dtype):
+            return np.full(len(bags), -1, dtype=np.int64)
+        return np.fromiter(map(self._pos.get, bags.keys.tolist(), repeat(-1)), np.int64, len(bags))
 
     def insert_many(self, bags: Bags, multiplicities) -> np.ndarray:
         """Add each bag's multiplicity to its frequency and return the change
@@ -183,22 +179,14 @@ class BehaviorDb:
         if self._frozen:
             raise FrozenDbError("behavior db is frozen")
         if self._n_s is None:
-            self._n_s, self._sorted = bags.n_s, bags.keys[:0]
-        elif (bags.n_s, bags.keys.dtype) != (self._n_s, self._sorted.dtype):
-            w = self._sorted.dtype.itemsize // 4
-            raise ValueError(f"bags over n_s={bags.n_s}, w={bags.w} do not fit a db of n_s={self._n_s}, w={w}")
-        pos = self.positions(bags)
-        new = pos < 0
-        if new.any():
-            uniq, first, inverse = np.unique(bags.keys[new], return_index=True, return_inverse=True)
-            order = np.argsort(first)
-            new_pos = np.empty(len(uniq), dtype=np.int64)
-            new_pos[order] = np.arange(len(self), len(self) + len(uniq))
-            pos[new] = new_pos[inverse]
-            at = np.searchsorted(self._sorted, uniq)
-            self._sorted = np.insert(self._sorted, at, uniq)
-            self._sorted_pos = np.insert(self._sorted_pos, at, new_pos)
-            self._freq = np.concatenate([self._freq, np.zeros(len(uniq), dtype=np.int64)])
+            self._n_s, self._dtype = bags.n_s, bags.keys.dtype
+        elif (bags.n_s, bags.keys.dtype) != (self._n_s, self._dtype):
+            raise ValueError(f"bags over n_s={bags.n_s}, w={bags.w} do not fit a db of "
+                             f"n_s={self._n_s}, w={self._dtype.itemsize // 4}")
+        keys = bags.keys.tolist()
+        self._pos.update(zip(dict.fromkeys(filterfalse(self._pos.__contains__, keys)), count(len(self))))
+        pos = np.fromiter(map(self._pos.__getitem__, keys), np.int64, len(keys))
+        self._freq = np.concatenate([self._freq, np.zeros(len(self) - len(self._freq), dtype=np.int64)])
         deltas = np.zeros(len(self), dtype=np.int64)
         np.add.at(deltas, pos, multiplicities)
         self._freq += deltas

@@ -46,7 +46,7 @@ def _load_config_file(path: str) -> dict[str, str]:
     try:
         # LF only: str.splitlines would also end a line at \x0c, \x1c or
         # U+2028, and so read keys hidden inside one line.
-        lines = trace_ingest.read_text(p, "utf-8").split("\n")
+        lines = list(trace_ingest.read_lines(p, "utf-8"))
     except ValueError as e:
         raise CliError(f"config: {e}") from None
     for i, line in enumerate(lines, start=1):
@@ -55,10 +55,10 @@ def _load_config_file(path: str) -> dict[str, str]:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise CliError(f"config: {p}: line {i}: expected key=value, got {line!r}")
+            raise CliError(f"config: {p}: line {i}: expected key=value, got {trace_ingest.quoted(line)}")
         key = key.strip()
         if key not in CONFIG_KEYS:
-            raise CliError(f"config: unknown field {key!r}")
+            raise CliError(f"config: unknown field {trace_ingest.quoted(key)}")
         values[key.replace("-", "_")] = value.strip()
     return values
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .bosc import unique_window_bags
-from .trace_ingest import quoted, read_text, to_int
+from .trace_ingest import quoted, read_lines, to_int
 from .trainer import TrainedModel
 
 log = logging.getLogger(__name__)
@@ -128,7 +128,7 @@ def read_report_file(path) -> DetectionReport:
     them. So a row out of order, a flag or total its numbers contradict, and
     any other spelling of the same numbers are rejected, naming the line."""
     p = Path(path)
-    lines = read_text(p).splitlines(keepends=True)
+    lines = list(read_lines(p))
     if not lines or not lines[-1].startswith("total "):
         raise ValueError(f"{p}: line {max(len(lines), 1)}: missing summary line")
     verdicts = []

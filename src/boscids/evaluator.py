@@ -6,7 +6,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .detector import DetectionReport
-from .trace_ingest import read_text
+from .trace_ingest import quoted, read_lines
 
 LABEL_NORMAL = "normal"
 LABEL_MALICIOUS = "malicious"
@@ -23,7 +23,7 @@ class LabeledCorpus:
         for trace_id, labels in self.items:
             for lab in labels:
                 if lab not in (LABEL_NORMAL, LABEL_MALICIOUS):
-                    raise ValueError(f"trace {trace_id!r}: unknown label {lab!r}")
+                    raise ValueError(f"trace {trace_id!r}: unknown label {quoted(lab)}")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, Iterable[str]]]) -> "LabeledCorpus":
@@ -116,16 +116,17 @@ def read_labels(path) -> tuple[str, ...]:
     as write_labels writes it."""
     p = Path(path)
     labels = []
-    for i, line in enumerate(read_text(p).splitlines(keepends=True)):
-        if not line.endswith("\n"):
-            raise ValueError(f"{p}: line {i + 1}: {line!r} does not end in LF")
+    for i, line in enumerate(read_lines(p)):
+        head = line.splitlines(keepends=True)[0]  # the line up to its first line break of any kind
+        if head != line or not line.endswith("\n"):
+            raise ValueError(f"{p}: line {i + 1}: {quoted(head)} does not end in LF")
         parts = line[:-1].split("\t")
         if len(parts) != 2:
             raise ValueError(f"{p}: line {i + 1}: expected `epoch_index<TAB>label`")
         idx, lab = parts
         if idx != str(i):
-            raise ValueError(f"{p}: line {i + 1}: epoch index {idx!r} out of order, expected {i}")
+            raise ValueError(f"{p}: line {i + 1}: epoch index {quoted(idx)} out of order, expected {i}")
         if lab not in (LABEL_NORMAL, LABEL_MALICIOUS):
-            raise ValueError(f"{p}: line {i + 1}: unknown label {lab!r}")
+            raise ValueError(f"{p}: line {i + 1}: unknown label {quoted(lab)}")
         labels.append(lab)
     return tuple(labels)

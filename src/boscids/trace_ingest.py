@@ -15,8 +15,8 @@ every other line, and any line holding `<...`, goes whole to parse_line,
 which classifies every line shape and never raises.
 
 A line longer than MAX_LINE bytes is classified by its first MAX_LINE bytes
-in a capture and fails a trace or count file, so memory stays bounded on
-input with no line ends.
+in a capture and fails every other file (trace, count, report, label and
+config files), so memory stays bounded on input with no line ends.
 
 A trace is dictionary-coded, like Arrow's DictionaryArray or pandas'
 Categorical: distinct names plus one int32 code per call, in an
@@ -29,6 +29,7 @@ import re
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -285,15 +286,20 @@ def read_trace_file(path) -> RawTrace:
     return trace
 
 
-def read_text(path, encoding: str = "ascii") -> str:
-    """A text file's contents; a byte that does not decode fails naming file and line."""
+def read_lines(path, encoding: str = "ascii") -> Iterator[str]:
+    """A text file's lines, each with its LF (a last line may lack one); only
+    LF ends a line. A line longer than MAX_LINE bytes, or a byte that does not
+    decode, fails naming file and line, and no later line is read."""
     p = Path(path)
-    data = p.read_bytes()
-    try:
-        return data.decode(encoding)
-    except UnicodeDecodeError as e:
-        line = data.count(b"\n", 0, e.start) + 1
-        raise ValueError(f"{p}: line {line}: byte {data[e.start]:#04x} is not {encoding}") from None
+    with p.open("rb") as fh:
+        for i, raw in enumerate(iter(partial(fh.readline, MAX_LINE + 1), b""), start=1):
+            if len(raw) - raw.endswith(b"\n") > MAX_LINE:
+                raise ValueError(f"{p}: line {i}: longer than {MAX_LINE} bytes")
+            try:
+                line = raw.decode(encoding)
+            except UnicodeDecodeError as e:
+                raise ValueError(f"{p}: line {i}: byte {raw[e.start]:#04x} is not {encoding}") from None
+            yield line
 
 
 def to_int(digits: str, path: Path, line: int, what: str) -> int:

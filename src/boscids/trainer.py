@@ -217,20 +217,20 @@ def _entry_error(line: str, n_s: int, w: int) -> str:
         return "missing ':' separator"
     m = re.fullmatch(r"((?:-?[0-9]+ )+): (-?[0-9]+)", line)
     if m is None:
-        return f"unparseable {line!r}"
+        return f"unparseable {quoted(line, 120)}"
     try:
         counts, freq = [int(t) for t in m.group(1).split()], int(m.group(2))
     except ValueError:  # more digits than int() converts
         return "a number has too many digits"
     if freq > _INT64_MAX:
-        return f"unparseable {line!r}"
+        return f"unparseable {quoted(line, 120)}"
     if len(counts) != n_s:
         return f"{len(counts)} counts, expected {n_s}"
     if freq < 1 or min(counts) < 0:
         return "negative value"
     if sum(counts) != w:
         return f"counts sum to {sum(counts)}, expected w={w}"
-    return f"unparseable {line!r}"  # leading zeros, "-0" and the like
+    return f"unparseable {quoted(line, 120)}"  # leading zeros, "-0" and the like
 
 
 def _parse_entries(block: bytes, n_s: int, w: int, first: int) -> tuple[np.ndarray, np.ndarray]:
@@ -267,12 +267,10 @@ def load_model(path) -> TrainedModel:
     marker = data.rfind(b"crc32=")
     if marker < 0 or (marker > 0 and data[marker - 1 : marker] != b"\n"):
         raise ModelFormatError("checksum", "missing crc32 trailer")
-    trailer = data[marker:].decode("ascii", errors="replace").strip()
-    try:
-        declared = int(trailer.removeprefix("crc32="), 16)
-    except ValueError:
-        raise ModelFormatError("checksum", f"unparseable trailer {trailer!r}") from None
-    if zlib.crc32(data[:marker]) & 0xFFFFFFFF != declared:
+    trailer = data[marker:]
+    if re.fullmatch(rb"crc32=[0-9a-f]{8}\n", trailer) is None:  # exactly as save_model writes it
+        raise ModelFormatError("checksum", f"unparseable trailer {quoted(trailer.decode('latin-1'))}")
+    if zlib.crc32(data[:marker]) != int(trailer[6:14], 16):
         raise ModelFormatError("checksum", "crc32 mismatch; file corrupted")
 
     # The trailer parsed, so a non-ASCII byte lies in the body.
@@ -309,11 +307,11 @@ def load_model(path) -> TrainedModel:
     for _ in range(retained):
         name = rd.next("index")
         if not SYSCALL_NAME_RE.fullmatch(name) or name == OTHER_NAME:
-            raise ModelFormatError("index", f"bad slot name {name!r}")
+            raise ModelFormatError("index", f"bad slot name {quoted(name)}")
         slots.append(name)
     sentinel = rd.next("index")
     if sentinel != "@" + OTHER_NAME:
-        raise ModelFormatError("index", f"missing @{OTHER_NAME} sentinel, got {sentinel!r}")
+        raise ModelFormatError("index", f"missing @{OTHER_NAME} sentinel, got {quoted(sentinel)}")
     index = SyscallIndex(tuple(slots))
 
     header = rd.next("entries")
@@ -335,9 +333,8 @@ def load_model(path) -> TrainedModel:
     if n_entries:
         keys = np.concatenate(key_chunks)
         db.insert_many(Bags(keys, n_s), np.concatenate(freq_chunks))
-        if len(db) != n_entries:
-            _, first = np.unique(keys, return_index=True)
-            dup = int(np.setdiff1d(np.arange(n_entries), first)[0])
+        if len(db) != n_entries:  # the first repeat is the first entry not at its own position
+            dup = int(np.argmax(db.positions(Bags(keys, n_s)) != np.arange(n_entries)))
             raise ModelFormatError("entries", f"entry {dup}: duplicate bag")
     db.freeze()
 

@@ -3,8 +3,9 @@
 Everything here recounts from scratch, with plain Python loops or with
 count-matrix rows; none of it shares code with the bag-key, coded-trace or
 block-ingest paths under test. The exceptions are insert_counts, a fixture
-builder, and first_uniforms and trace_digest, which the generator's
-known-answer pins are checked through.
+builder, first_uniforms and trace_digest, which the generator's
+known-answer pins are checked through, and the entry oracle's messages,
+which quote a line through trace_ingest.quoted as the loader does.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from boscids.bosc import Bags
-from boscids.trace_ingest import parse_line
+from boscids.trace_ingest import parse_line, quoted
 
 
 def insert_counts(db, bags, multiplicities=None):
@@ -161,11 +162,11 @@ def parse_entry_line(line, n_s, w):
     if not sep:
         raise ValueError("missing ':' separator")
     if not _ENTRY_SHAPE.fullmatch(line):
-        raise ValueError(f"unparseable {line!r}")
+        raise ValueError(f"unparseable {quoted(line, 120)}")
     bag = tuple(map(int, counts_part.split()))
     freq = int(freq_part)
     if freq > 2**63 - 1:  # the frequency is an int64
-        raise ValueError(f"unparseable {line!r}")
+        raise ValueError(f"unparseable {quoted(line, 120)}")
     if len(bag) != n_s:
         raise ValueError(f"{len(bag)} counts, expected {n_s}")
     if freq < 1 or min(bag) < 0:
@@ -173,7 +174,7 @@ def parse_entry_line(line, n_s, w):
     if sum(bag) != w:
         raise ValueError(f"counts sum to {sum(bag)}, expected w={w}")
     if entry_line(bag, freq) != line:
-        raise ValueError(f"unparseable {line!r}")
+        raise ValueError(f"unparseable {quoted(line, 120)}")
     return bag, freq
 
 

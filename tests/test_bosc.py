@@ -131,6 +131,15 @@ def test_db_insertion_order_is_first_insertion():
     insert_counts(db, [(1, 0)])
     insert_counts(db, [(0, 1)])
     assert bags_in_order(db) == [(0, 1), (1, 0)]
+    # A key of NUL bytes only: every slot is the last one, whose complement is 0.
+    nul = Bags.from_counts([[0, 0, 3]])
+    assert nul.keys.tobytes() == bytes(12)
+    db = BehaviorDb()
+    insert_counts(db, [(1, 2, 0)])
+    db.insert_many(nul, [2])
+    insert_counts(db, [(0, 0, 3), (1, 2, 0)])
+    assert db.positions(nul).tolist() == [1]
+    assert list(db.items()) == [((1, 2, 0), 2), ((0, 0, 3), 3)]
 
 
 def test_db_freeze_blocks_writes():

@@ -1,6 +1,7 @@
 import re
 import tempfile
 import tracemalloc
+import zlib
 from array import array
 from pathlib import Path
 from unittest import mock
@@ -10,7 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boscids import trace_ingest as ti
+from boscids.bosc import Bags, BehaviorDb, Config
 from boscids.catalog import SyscallIndex
+from boscids.cli import CliError, _load_config_file
+from boscids.detector import read_report_file
+from boscids.evaluator import LabeledCorpus, read_labels
+from boscids.trainer import TrainedModel, load_model, save_model
 from helpers import (
     call_names,
     capped_text_lines,
@@ -209,6 +215,52 @@ def test_a_long_invalid_name_is_quoted_short(tmp_path):
     # A name given to the library is quoted the same way, non-ASCII escaped.
     with pytest.raises(ti.SyscallNameError, match=re.escape(r"invalid syscall name 'wr\\xe9te'") + "$"):
         ti.RawTrace.from_names(["read", "wr\xe9te"])
+
+
+LONG = b"x" * 1_000_000  # a line of 1 MB, within MAX_LINE
+
+
+def _long_line_inputs(tmp_path):
+    """By case: a reader whose message quotes user text, and the bytes of a
+    file that gives it a 1 MB line to quote."""
+    db = BehaviorDb()
+    db.insert_many(Bags.from_counts([(1, 1, 0)]), [9])
+    db.freeze()
+    model = tmp_path / "fixture.model"
+    save_model(TrainedModel(SyscallIndex(("read", "write")), db, Config(2, 4), [1.0]), model)
+    data = model.read_bytes()
+    body = data[: data.rfind(b"crc32=")]
+
+    def sealed(old, new):
+        edited = body.replace(old, new)
+        return edited + f"crc32={zlib.crc32(edited):08x}\n".encode("ascii")
+
+    return {
+        "entry": (load_model, sealed(b"\n1 1 0 : 9\n", b"\n" + LONG + b" : 9\n")),
+        "slot-name": (load_model, sealed(b"\nread\n", b"\n" + LONG + b"!\n")),
+        "sentinel": (load_model, sealed(b"\n@other\n", b"\n@" + LONG + b"\n")),
+        "trailer": (load_model, body + b"crc32=" + LONG + b"\n"),
+        "label-no-lf": (read_labels, b"0\tnormal\n1\t" + LONG),
+        "label-index": (read_labels, LONG + b"\tnormal\n"),
+        "label": (read_labels, b"0\t" + LONG + b"\n"),
+        "corpus-label": (lambda _: LabeledCorpus.from_pairs([("t", [LONG.decode()])]), b""),
+        "config-line": (_load_config_file, LONG + b"\n"),
+        "config-key": (_load_config_file, LONG + b"=1\n"),
+        "report": (read_report_file, b"0 " + LONG + b"\ntotal epochs=1\n"),
+    }
+
+
+@pytest.mark.parametrize("case", ["entry", "slot-name", "sentinel", "trailer", "label-no-lf", "label-index",
+                                  "label", "corpus-label", "config-line", "config-key", "report"])
+def test_a_long_line_is_quoted_short(tmp_path, case):
+    read, data = _long_line_inputs(tmp_path)[case]
+    path = tmp_path / "long.input"
+    path.write_bytes(data)
+    with pytest.raises((ValueError, CliError)) as exc:
+        read(path)
+    message = str(exc.value)
+    assert "characters)" in message, message[:300]
+    assert len(message.encode()) < 300
 
 
 def test_read_count_file_rejects_duplicates(tmp_path):
@@ -464,11 +516,13 @@ def test_ingest_and_read_memory_is_bounded_by_the_calls(tmp_path):
 
 def test_a_line_with_no_end_is_read_in_bounded_memory(tmp_path):
     # 64 MiB with no line end: ingest keeps the line's first MAX_LINE bytes
-    # and the trace and count readers fail at it, each holding at most about
-    # two lines of MAX_LINE bytes and a block.
+    # and every other reader fails at it, each holding at most about two
+    # lines of MAX_LINE bytes and a block.
     strace, names, counts = tmp_path / "long.strace", tmp_path / "long.trace", tmp_path / "long.counts"
+    report, labels, config = tmp_path / "long.report", tmp_path / "long.labels", tmp_path / "long.conf"
     for path, start in ((strace, b"write(1) = 1\nread("), (names, b"write\nread"),
-                        (counts, b"write\t1\nread\t")):
+                        (counts, b"write\t1\nread\t"), (report, b"0 3 0 0.4 0\n"),
+                        (labels, b"0\tnormal\n"), (config, b"window=2\n")):
         with path.open("wb") as fh:
             fh.write(start)
             for _ in range(64):
@@ -488,6 +542,12 @@ def test_a_line_with_no_end_is_read_in_bounded_memory(tmp_path):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             ti.read_count_file(counts)
         assert tracemalloc.get_traced_memory()[1] < bound
+        for path, read in ((report, read_report_file), (labels, read_labels), (config, _load_config_file)):
+            tracemalloc.reset_peak()
+            message = f"{path}: line 2: longer than {ti.MAX_LINE} bytes"
+            with pytest.raises((ValueError, CliError), match=re.escape(message) + "$"):
+                read(path)
+            assert tracemalloc.get_traced_memory()[1] < bound, path.name
     finally:
         tracemalloc.stop()
     assert call_names(trace) == ["write", "read"]

@@ -230,6 +230,24 @@ def test_load_detects_tampering(tmp_path):
     assert exc.value.section == "checksum"
 
 
+@pytest.mark.parametrize(
+    "spelling",
+    ["crc32={:08X}\n", "crc32={:#010x}  \n\n", "crc32={:08x}", "crc32=+00{:08x}\t"],
+    ids=["upper-case", "0x-and-blanks", "no-final-lf", "sign-and-tab"],
+)
+def test_load_accepts_only_the_trailer_save_writes(tmp_path, spelling):
+    # Each spells the right crc32, and was accepted before; saving the loaded
+    # model then gave other bytes.
+    p = tmp_path / "m.model"
+    save_model(model_fixture(), p)
+    body = p.read_bytes()[: p.read_bytes().rfind(b"crc32=")]
+    trailer = spelling.format(zlib.crc32(body))
+    p.write_bytes(body + trailer.encode("ascii"))
+    with pytest.raises(ModelFormatError) as exc:
+        load_model(p)
+    assert str(exc.value) == f"checksum: unparseable trailer {trailer!r}"
+
+
 def test_load_detects_truncation(tmp_path):
     model = model_fixture()
     p = tmp_path / "m.model"
@@ -428,6 +446,13 @@ def test_load_rejects_duplicate_entry(tmp_path):
     with pytest.raises(ModelFormatError, match="entry 1: duplicate") as exc:
         load_model(p)
     assert exc.value.section == "entries"
+    # Entry 1,500 repeats entry 3, in a later chunk.
+    n_s, w, rows, freqs = _many_entries(n=1600)
+    save_model(model_of(n_s, w, rows, freqs), p)
+    reseal(p, f"\n{entry_line(rows[1500], freqs[1500])}\n".encode("ascii"),
+           f"\n{entry_line(rows[3], freqs[1500])}\n".encode("ascii"))
+    with pytest.raises(ModelFormatError, match="^entries: entry 1500: duplicate bag$"):
+        load_model(p)
 
 
 def test_load_rejects_inflated_entry_count(tmp_path):
