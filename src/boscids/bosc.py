@@ -173,11 +173,15 @@ class BehaviorDb:
         vector: the int64 frequency deltas, indexed by insertion position.
 
         Bags new to the db are appended in the order they first appear.
-        Raises ValueError if the bags' n_s or w differ from those of the
-        db's first insert.
+        Raises ValueError, leaving the db as it was, unless there is one
+        multiplicity of at least 1 per bag and the bags' n_s and w are those
+        of the db's first insert.
         """
         if self._frozen:
             raise FrozenDbError("behavior db is frozen")
+        mult = np.asarray(multiplicities)
+        if mult.shape != (len(bags),) or (mult < 1).any():
+            raise ValueError(f"{len(bags)} bags need as many multiplicities, each at least 1")
         if self._n_s is None:
             self._n_s, self._dtype = bags.n_s, bags.keys.dtype
         elif (bags.n_s, bags.keys.dtype) != (self._n_s, self._dtype):
@@ -188,7 +192,7 @@ class BehaviorDb:
         pos = np.fromiter(map(self._pos.__getitem__, keys), np.int64, len(keys))
         self._freq = np.concatenate([self._freq, np.zeros(len(self) - len(self._freq), dtype=np.int64)])
         deltas = np.zeros(len(self), dtype=np.int64)
-        np.add.at(deltas, pos, multiplicities)
+        np.add.at(deltas, pos, mult)
         self._freq += deltas
         return deltas
 

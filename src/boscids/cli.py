@@ -58,7 +58,7 @@ def _load_config_file(path: str) -> dict[str, str]:
             raise CliError(f"config: {p}: line {i}: expected key=value, got {trace_ingest.quoted(line)}")
         key = key.strip()
         if key not in CONFIG_KEYS:
-            raise CliError(f"config: unknown field {trace_ingest.quoted(key)}")
+            raise CliError(f"config: {p}: line {i}: unknown field {trace_ingest.quoted(key)}")
         values[key.replace("-", "_")] = value.strip()
     return values
 
@@ -256,6 +256,8 @@ def _cmd_gen(args) -> int:
     else:
         trace = synth.gen_normal(spec, args.calls)
         if args.labels:
+            if args.epoch_size < 1:
+                raise CliError("epoch-size: must be positive when labels are requested")
             if args.calls % args.epoch_size:
                 raise CliError("calls: must be a multiple of epoch-size when labels are requested")
             labels = ["normal"] * (args.calls // args.epoch_size)

@@ -2,6 +2,7 @@
 changes stabilize, then persist the whole model as a versioned text file."""
 
 import functools
+import io
 import itertools
 import logging
 import math
@@ -114,12 +115,21 @@ def train(trace, counts: CountTable | None = None, config: Config | None = None)
     return model
 
 
-def _params_line(c: Config) -> str:
-    return f"w={c.window_size} S={c.epoch_size} Tt={c.train_threshold!r} TdFrac={c.detect_threshold_fraction!r}"
+def _head_lines(index: SyscallIndex, c: Config, n_entries: int) -> list[str]:
+    """The lines of a model file before its entries, as save_model writes them."""
+    return [
+        MODEL_HEADER,
+        f"w={c.window_size} S={c.epoch_size} Tt={c.train_threshold!r} TdFrac={c.detect_threshold_fraction!r}",
+        f"ns={index.n_s} retained={len(index.slots)}",
+        *index.slots,
+        "@" + OTHER_NAME,
+        f"entries={n_entries}",
+    ]
 
 
-def _history_line(k: int, cos: float) -> str:
-    return f"{k} {cos:.9f}"
+def _tail_lines(history: list[float]) -> list[str]:
+    """The lines of a model file after its entries, before the crc32 trailer."""
+    return [f"history={len(history)}", *(f"{k} {cos:.9f}" for k, cos in enumerate(history, start=2))]
 
 
 def _decimal(values: np.ndarray, tail: bytes) -> tuple[np.ndarray, np.ndarray]:
@@ -153,16 +163,8 @@ def _entry_text(counts: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 
 def save_model(model: TrainedModel, path) -> None:
     """Write the versioned line-oriented model file with a crc32 trailer."""
-    head = [
-        MODEL_HEADER,
-        _params_line(model.config),
-        f"ns={model.index.n_s} retained={len(model.index.slots)}",
-        *model.index.slots,
-        "@" + OTHER_NAME,
-        f"entries={len(model.db)}",
-    ]
-    tail = [f"history={len(model.history)}"]
-    tail.extend(_history_line(k, cos) for k, cos in enumerate(model.history, start=2))
+    head = _head_lines(model.index, model.config, len(model.db))
+    tail = _tail_lines(model.history)
     parts = itertools.chain(
         ["".join(f"{line}\n" for line in head).encode("ascii")],
         itertools.starmap(_entry_text, model.db.chunks()),  # one chunk at a time
@@ -177,31 +179,50 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 class _LineReader:
-    """The LF-terminated lines of data[:end], read in order."""
+    """The LF-terminated lines of data[:end], read in order. next() keeps
+    each (section, line) it reads in got."""
 
     def __init__(self, data: bytes, end: int):
-        self._data = data
-        self._ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8, count=end) == ord("\n"))
-        self._pos = 0
+        self._f = io.BytesIO(data)  # shares data's buffer: no copy
+        self._end = end
+        self.got: list[tuple[str, str]] = []
 
     def take(self, n: int) -> bytes:
         """The next n lines (fewer if the body runs out), each with its LF."""
-        start = int(self._ends[self._pos - 1]) + 1 if self._pos else 0
-        self._pos = min(self._pos + n, len(self._ends))
-        return self._data[start : int(self._ends[self._pos - 1]) + 1 if self._pos else 0]
+        block = b"".join(itertools.islice(iter(self._f.readline, b""), n))
+        return block[: len(block) - max(self._f.tell() - self._end, 0)]  # never a line at or after end
 
     def next(self, section: str) -> str:
         line = self.take(1)
         if not line:
             raise ModelFormatError(section, "file truncated")
-        return line[:-1].decode("ascii")
+        self.got.append((section, line[:-1].decode("ascii")))
+        return self.got[-1][1]
+
+    def fields(self, section: str, what: str, pattern: str) -> re.Match:
+        """The next line, parsed loosely by pattern; the exact text is checked
+        later, against the line save_model writes."""
+        line = self.next(section)
+        m = re.fullmatch(pattern, line)
+        if m is None:
+            raise ModelFormatError(section, f"bad {what} {quoted(line)}")
+        return m
+
+    def check(self, written: list[str], first: int) -> None:
+        """Fail at the first line in got, numbered from first in the file, that
+        is not the line save_model writes there; then empty got."""
+        for i, ((section, line), want) in enumerate(zip(self.got, written), start=first):
+            if line != want:
+                raise ModelFormatError(section, f"line {i}: {quoted(line, 120)} should read {want!r}")
+        self.got.clear()
 
     def exhausted(self) -> bool:
-        return self._pos >= len(self._ends)
+        return self._f.tell() >= self._end
 
 
 _INT64_MAX = np.iinfo(np.int64).max
-_SIZE = "(0|[1-9][0-9]{0,18})"  # as save_model writes a size: an int64, no leading 0
+_SIZE = "([0-9]{1,19})"  # digits int() converts; the line check rejects other spellings
+_FLOAT = r"(-?[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)"  # float() converts each match
 
 
 @functools.cache
@@ -255,9 +276,10 @@ def _parse_entries(block: bytes, n_s: int, w: int, first: int) -> tuple[np.ndarr
 
 def load_model(path) -> TrainedModel:
     """Read a model file written by save_model, verifying version, structure,
-    and checksum; failures name the offending section. Only the text
-    save_model writes is accepted, so saving a loaded model reproduces its
-    file byte for byte."""
+    and checksum; failures name the offending section. The head and history
+    are parsed loosely, then each line must be the one save_model writes for
+    what was parsed, and entries must be its text too; so saving a loaded
+    model reproduces its file byte for byte."""
     data = Path(path).read_bytes()
     newline = data.find(b"\n")
     first = data[:newline] if newline >= 0 else data
@@ -279,46 +301,22 @@ def load_model(path) -> TrainedModel:
         raise ModelFormatError("structure", f"non-ASCII byte at offset {offset}")
     rd = _LineReader(data, marker)
     rd.next("version")
-
-    params = rd.next("params")
-    m = re.fullmatch(f"w={_SIZE} S={_SIZE} Tt=([0-9.eE+-]+) TdFrac=([0-9.eE+-]+)", params)
-    if m is None:
-        raise ModelFormatError("params", f"bad parameter line {quoted(params)}")
+    m = rd.fields("params", "parameter line", f"w={_SIZE} S={_SIZE} Tt={_FLOAT} TdFrac={_FLOAT}")
     try:
-        config = Config(
-            window_size=int(m.group(1)),
-            epoch_size=int(m.group(2)),
-            train_threshold=float(m.group(3)),
-            detect_threshold_fraction=float(m.group(4)),
-        )
+        config = Config(int(m[1]), int(m[2]), float(m[3]), float(m[4]))
     except ValueError as e:
         raise ModelFormatError("params", str(e)) from None
-    if params != _params_line(config):
-        raise ModelFormatError("params", f"bad parameter line {quoted(params)}")
-
-    sizes = rd.next("index")
-    m = re.fullmatch(f"ns={_SIZE} retained={_SIZE}", sizes)
-    if m is None:
-        raise ModelFormatError("index", f"bad size line {quoted(sizes)}")
-    n_s, retained = int(m.group(1)), int(m.group(2))
-    if n_s != retained + 1:
-        raise ModelFormatError("index", f"ns={n_s} does not equal retained+1={retained + 1}")
-    slots = []
-    for _ in range(retained):
-        name = rd.next("index")
-        if not SYSCALL_NAME_RE.fullmatch(name) or name == OTHER_NAME:
-            raise ModelFormatError("index", f"bad slot name {quoted(name)}")
-        slots.append(name)
-    sentinel = rd.next("index")
-    if sentinel != "@" + OTHER_NAME:
-        raise ModelFormatError("index", f"missing @{OTHER_NAME} sentinel, got {quoted(sentinel)}")
-    index = SyscallIndex(tuple(slots))
-
-    header = rd.next("entries")
-    m = re.fullmatch(f"entries={_SIZE}", header)
-    if m is None:
-        raise ModelFormatError("entries", f"bad entry header {quoted(header)}")
-    n_entries = int(m.group(1))
+    retained = int(rd.fields("index", "size line", rf"ns=\S* retained={_SIZE}")[1])
+    slots = tuple(rd.fields("index", "slot name", SYSCALL_NAME_RE.pattern)[0] for _ in range(retained))
+    rd.next("index")  # the @other sentinel, checked with the rest of the head
+    try:
+        index = SyscallIndex(slots)
+    except ValueError as e:  # a repeated name, or "other"
+        raise ModelFormatError("index", str(e)) from None
+    n_entries = int(rd.fields("entries", "entry header", f"entries={_SIZE}")[1])
+    tail_at = len(rd.got) + n_entries + 1  # the tail's first line number
+    rd.check(_head_lines(index, config, n_entries), 1)
+    n_s = index.n_s
     key_chunks, freq_chunks = [], []
     # Bounded memory: one chunk of entry lines at a time, and a forged
     # entries= count fails at the first chunk the file cannot fill.
@@ -338,23 +336,9 @@ def load_model(path) -> TrainedModel:
             raise ModelFormatError("entries", f"entry {dup}: duplicate bag")
     db.freeze()
 
-    header = rd.next("history")
-    m = re.fullmatch(f"history={_SIZE}", header)
-    if m is None:
-        raise ModelFormatError("history", f"bad history header {quoted(header)}")
-    history = []
-    for i in range(int(m.group(1))):
-        line = rd.next("history")
-        try:
-            k_str, cos_str = line.split()
-            k, cos = int(k_str), float(cos_str)
-        except ValueError:
-            raise ModelFormatError("history", f"record {i}: unparseable {quoted(line)}") from None
-        if k != i + 2:
-            raise ModelFormatError("history", f"record {i}: epoch {k}, expected {i + 2}")
-        if line != _history_line(k, cos):
-            raise ModelFormatError("history", f"record {i}: unparseable {quoted(line)}")
-        history.append(cos)
+    n_history = int(rd.fields("history", "history header", f"history={_SIZE}")[1])
+    history = [float(rd.fields("history", "history record", rf"\S+ {_FLOAT}")[1]) for _ in range(n_history)]
+    rd.check(_tail_lines(history), tail_at)
     if not rd.exhausted():
         raise ModelFormatError("structure", "unexpected trailing content before checksum")
     return TrainedModel(index, db, config, history)

@@ -147,6 +147,12 @@ def reference_cosine(a, b):
     return dot / (na * nb)
 
 
+def one_char_edit(text, k, edit, char):
+    """text with char in place of its k-th character (replace), char put
+    before it (insert), or that character deleted."""
+    return text[:k] + ("" if edit == "delete" else char) + text[k + (edit != "insert") :]
+
+
 def entry_line(bag, freq):
     """One model-file entry line, written token by token."""
     return " ".join(map(str, bag)) + " : " + str(freq)

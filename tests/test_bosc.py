@@ -220,6 +220,19 @@ def test_db_rejects_bags_of_another_shape():
     assert dict(db.items()) == {(1, 1, 0): 1}
 
 
+@pytest.mark.parametrize("rows, mult", [([(1, 0), (0, 1)], [1, 2, 3]), ([(1, 0)], [-5]), ([(1, 0)], [0])],
+                         ids=["too-many", "negative", "zero"])
+def test_db_rejects_bad_multiplicities_and_stays_unchanged(rows, mult):
+    empty, filled = BehaviorDb(), BehaviorDb()
+    insert_counts(filled, [(0, 1)], [2])
+    for db, before in ((empty, []), (filled, [((0, 1), 2)])):
+        with pytest.raises(ValueError, match="multiplicities"):
+            db.insert_many(Bags.from_counts(rows), mult)
+        assert list(db.items()) == before
+    insert_counts(empty, [(1, 1, 0)])  # the failed call fixed no n_s or w
+    assert list(empty.items()) == [((1, 1, 0), 1)]
+
+
 def test_db_total_frequency_equals_windows_processed():
     rng = random.Random(11)
     db = BehaviorDb()

@@ -364,12 +364,15 @@ def test_invalid_flag_values_exit_1_naming_the_field(tmp_path, capsys):
          "granularity"),
         (["gen", "--calls", "100", "--out", str(tmp_path / "g.trace"), "--inject-mode", "sideways"],
          "mode"),
+        *((["gen", "--calls", "100", "--out", str(tmp_path / "g.trace"), "--labels", str(tmp_path / "g.labels"),
+            "--epoch-size", size], "epoch-size") for size in ("0", "-5")),
     ]
     for argv, needle in cases:
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert needle in err, err
     assert not (tmp_path / "g.trace").exists()
+    assert not (tmp_path / "g.labels").exists()
 
 
 def test_config_file_with_crlf_line_ends(tmp_path, capsys):

@@ -15,7 +15,7 @@ from boscids.bosc import Bags, BehaviorDb, Config
 from boscids.catalog import SyscallIndex
 from boscids.cli import CliError, _load_config_file
 from boscids.detector import read_report_file
-from boscids.evaluator import LabeledCorpus, read_labels
+from boscids.evaluator import LabeledCorpus, read_labels, write_labels
 from boscids.trainer import TrainedModel, load_model, save_model
 from helpers import (
     call_names,
@@ -23,6 +23,7 @@ from helpers import (
     counter_table_entries,
     ingest_file_line_by_line,
     ingest_line_by_line,
+    one_char_edit,
     resolve_each,
     trace_text,
 )
@@ -188,6 +189,17 @@ def test_count_file_round_trip(tmp_path):
     assert ti.read_count_file(path).entries == table.entries
 
 
+def test_count_file_reads_any_line_order_and_leading_zeros(tmp_path):
+    # Count files are lenient on purpose, like CR and CRLF line ends: the
+    # table, and so the index built from it, is the same either way.
+    path, again = tmp_path / "t.counts", tmp_path / "again.counts"
+    for text, written in [(b"read\t2\nwrite\t5\n", b"write\t5\nread\t2\n"),
+                          (b"read\t05\nwrite\t2\n", b"read\t5\nwrite\t2\n")]:
+        path.write_bytes(text)
+        ti.write_count_file(ti.read_count_file(path), again)
+        assert again.read_bytes() == written
+
+
 def test_read_trace_file_rejects_bad_names(tmp_path):
     path = tmp_path / "bad.trace"
     cases = [
@@ -281,6 +293,54 @@ def test_read_count_file_rejects_non_integer_count(tmp_path, count):
 
 
 _NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}", fullmatch=True)
+
+
+def _write_config(values, path):
+    """A config file of the values _load_config_file returns (the program
+    writes none)."""
+    path.write_text("".join(f"{key.replace('_', '-')}={value}\n" for key, value in values.items()))
+
+
+# By format: the objects to write, the writer, the reader, and whether the
+# format is strict (it reads back only as written) or lenient (CR, CRLF, a
+# missing last LF, count lines in any order or with leading zeros, config
+# comments and blanks all read; writing what was read reads back the same).
+_LINE_FORMATS = {
+    "labels": (st.lists(st.sampled_from(["normal", "malicious"]), max_size=4), write_labels, read_labels, True),
+    "trace": (st.lists(_NAMES, max_size=6).map(ti.RawTrace.from_names), ti.write_trace_file,
+              ti.read_trace_file, False),
+    "count": (st.dictionaries(_NAMES, st.integers(1, 10**6), max_size=4).map(ti.CountTable.from_counts),
+              ti.write_count_file, ti.read_count_file, False),
+    "config": (st.dictionaries(st.sampled_from(["window", "epoch_size", "seed", "jobs"]),
+                               st.from_regex(r"[0-9a-z.]{1,4}", fullmatch=True), max_size=4),
+               _write_config, _load_config_file, False),
+}
+
+
+@pytest.mark.parametrize("fmt", list(_LINE_FORMATS))
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(0, 2**16), st.sampled_from(["replace", "insert", "delete"]),
+       st.sampled_from("0123456789\t\n\r =#-_anx\xe9\x0c"))
+def test_an_edited_line_file_reads_by_its_format_law(tmp_path_factory, fmt, data, pos, edit, char):
+    objects, write, read, strict = _LINE_FORMATS[fmt]
+    d = tmp_path_factory.mktemp(fmt)
+    path, again = d / "edited", d / "again"
+    write(data.draw(objects), path)
+    text = path.read_bytes().decode("latin-1")
+    edited = one_char_edit(text, pos % (len(text) + 1), edit, char).encode("latin-1")
+    path.write_bytes(edited)
+    try:
+        first = read(path)
+    except (ValueError, CliError) as e:
+        assert re.match(f"(config: )?{re.escape(str(path))}: line [0-9]+: ", str(e)), str(e)
+        return
+    write(first, again)
+    if strict:
+        assert again.read_bytes() == edited
+    elif fmt == "trace":
+        assert call_names(read(again)) == call_names(first)
+    else:
+        assert read(again) == first
 
 
 def _coded_case(names, codes, slots):

@@ -23,6 +23,7 @@ from helpers import (
     brute_force_bag,
     entry_line,
     insert_counts,
+    one_char_edit,
     parse_entry_section,
     reference_cosine,
 )
@@ -428,6 +429,34 @@ def test_load_rejects_an_edited_entry_as_the_oracle_does(tmp_path_factory, case,
             assert list(load_model(p).db.items()) == expected
 
 
+@settings(max_examples=300, deadline=None)
+@given(entry_tables(max_freq=10**6), st.integers(0, 2**16), st.sampled_from(["replace", "insert", "delete"]),
+       st.sampled_from("0123456789 .e+-=_\n\rs@o\xe9"))
+@example((3, 2, [(2, 0, 0)], [5]), 65, "replace", "0")  # slot "s1" becomes a second "s0"
+def test_load_reads_an_edited_head_or_tail_only_as_written(tmp_path_factory, case, pos, edit, char):
+    # One edit to the header, index, history or trailer, and a new crc32 for
+    # any edit before the trailer: load_model fails with ModelFormatError or
+    # returns a model that saves back to exactly the edited bytes.
+    p = tmp_path_factory.mktemp("m") / "m.model"
+    save_model(model_of(*case), p)
+    text = p.read_bytes().decode("ascii")
+    entries = text.index("\n", text.index("\nentries=") + 1) + 1  # the first entry line
+    trailer = text.rindex("crc32=")
+    places = [*range(entries), *range(text.index("\nhistory=") + 1, len(text) + 1)]
+    k = places[pos % len(places)]
+    edited = one_char_edit(text, k, edit, char)
+    if k < trailer:
+        body = edited[: len(edited) - (len(text) - trailer)].encode("latin-1")
+        edited = body.decode("latin-1") + f"crc32={zlib.crc32(body):08x}\n"
+    p.write_bytes(edited.encode("latin-1"))
+    try:
+        loaded = load_model(p)
+    except ModelFormatError:
+        return
+    save_model(loaded, p)
+    assert p.read_bytes() == edited.encode("latin-1")
+
+
 def test_load_numbers_entries_across_chunks(tmp_path):
     n_s, w, rows, freqs = _many_entries()
     p = tmp_path / "m.model"
@@ -479,9 +508,17 @@ def test_load_rejects_history_record_with_wrong_epoch(tmp_path):
     p = tmp_path / "m.model"
     save_model(model_fixture(), p)  # history "2 1.000000000", "3 1.000000000"
     reseal(p, b"\n3 1.000000000\n", b"\n4 1.000000000\n")
-    with pytest.raises(ModelFormatError, match="record 1: epoch 4, expected 3") as exc:
+    with pytest.raises(ModelFormatError, match="^history: line 11: '4 1.000000000' should read '3 1.000000000'$") as exc:
         load_model(p)
     assert exc.value.section == "history"
+
+
+def test_load_rejects_a_repeated_slot(tmp_path):
+    p = tmp_path / "m.model"
+    save_model(model_fixture(), p)  # slots "a", "b"
+    reseal(p, b"\na\nb\n", b"\na\na\n")
+    with pytest.raises(ModelFormatError, match="^index: slot names must be unique$"):
+        load_model(p)
 
 
 def test_load_rejects_non_ascii_body(tmp_path):
