@@ -1,5 +1,6 @@
 """Syscall-to-slot index with an OTHER bucket for rare and unknown names."""
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +34,18 @@ class SyscallIndex:
     def resolve(self, name: str) -> int:
         return self.slots.index(name) if name in self.slots else len(self.slots)
 
-    def resolve_stream(self, trace) -> np.ndarray:
-        """Resolve a trace (a RawTrace or names) to int64 slots by one gather."""
+    def resolve_stream(self, trace, lut: array | None = None) -> np.ndarray:
+        """Resolve a trace (a RawTrace or names) to int64 slots by one gather.
+
+        The chunks of one stream, whose names each extend the last chunk's,
+        resolve one at a time through one lut, an array('q') of the slots of
+        the names resolved so far: each call extends it by its chunk's new
+        names only."""
         trace = RawTrace.from_names(trace)
-        lut = np.array([self.resolve(n) for n in trace.names], dtype=np.int64)
-        return lut[np.frombuffer(trace.calls, dtype=np.int32)]
+        if lut is None:
+            lut = array("q")
+        lut.extend(map(self.resolve, trace.names[len(lut) :]))
+        return np.frombuffer(lut, dtype=np.int64)[np.frombuffer(trace.calls, dtype=np.int32)]
 
 
 def build_index(counts: CountTable) -> SyscallIndex:

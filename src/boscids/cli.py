@@ -13,6 +13,7 @@ command imports its own, so `ingest` and `--help` start without numpy.
 import argparse
 import os
 import sys
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
@@ -88,7 +89,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("trace", metavar="TRACE_FILE", help="name-per-line trace file")
     p.add_argument("--model", required=True, metavar="PATH", help="model file to write")
     p.add_argument("--counts", metavar="PATH",
-                   help="count file from ingest (default: recomputed from the trace)")
+                   help="count file from ingest; the trace is then read an epoch at a time, "
+                        "and not past the epoch where training converges "
+                        "(default: recomputed from the whole trace)")
     p.add_argument("--window", type=int, default=10, metavar="W",
                    help="sliding window size in calls (default: 10)")
     p.add_argument("--epoch-size", type=int, default=5000, metavar="S",
@@ -108,7 +111,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--detect-fraction", type=float, metavar="F",
                    help="override the model's mismatch threshold fraction (default: the model's own)")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="scan multiple traces on N threads (default: 1)")
+                   help="scan multiple traces on N threads; one trace is scanned on the main thread (default: 1)")
 
     p = sub.add_parser("eval", parents=[config],
                        help="compute TPR/FPR from reports and label files",
@@ -171,9 +174,13 @@ def _cmd_train(args) -> int:
         train_threshold=args.train_threshold,
         detect_threshold_fraction=args.detect_fraction,
     )
-    trace = trace_ingest.read_trace_file(args.trace)
-    counts = trace_ingest.read_count_file(args.counts) if args.counts else None
-    model = trainer.train(trace, counts=counts, config=config)
+    if args.counts:
+        counts = trace_ingest.read_count_file(args.counts)
+        # Epochs are read as training pulls them, and none after it converges.
+        with closing(trace_ingest.read_trace_chunks(args.trace, config.epoch_size)) as epochs:
+            model = trainer.train(epochs, counts=counts, config=config)
+    else:  # counting needs the whole trace
+        model = trainer.train(trace_ingest.read_trace_file(args.trace), config=config)
     for k, cos in enumerate(model.history, start=2):
         print(f"epoch {k} cos={cos:.9f}")
     trainer.save_model(model, args.model)
@@ -182,13 +189,14 @@ def _cmd_train(args) -> int:
         f"{status} after {model.epochs_trained} epochs; "
         f"db entries={len(model.db)} retained={len(model.index.slots)} ns={model.index.n_s}"
     )
+    if args.counts and model.converged:
+        print(f"read {model.epochs_trained * config.epoch_size} calls of {args.trace}; "
+              "the rest of the file, if any, was neither read nor checked")
     print(f"model: {args.model}")
     return 0 if model.converged else 3
 
 
 def _cmd_detect(args) -> int:
-    from concurrent.futures import ThreadPoolExecutor
-
     from . import detector, trainer
 
     if args.jobs < 1:
@@ -200,10 +208,15 @@ def _cmd_detect(args) -> int:
         model.config = replace(model.config, detect_threshold_fraction=args.detect_fraction)
 
     def scan(path: str) -> detector.DetectionReport:
-        return detector.detect(model, trace_ingest.read_trace_file(path))
+        return detector.detect(model, trace_ingest.read_trace_chunks(path, model.config.epoch_size))
 
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        reports = list(pool.map(scan, args.traces))
+    if args.jobs > 1 and len(args.traces) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            reports = list(pool.map(scan, args.traces))
+    else:
+        reports = list(map(scan, args.traces))
 
     empty = False
     for path, report in zip(args.traces, reports):

@@ -3,13 +3,14 @@ bags."""
 
 import logging
 import re
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .bosc import unique_window_bags
-from .trace_ingest import quoted, read_lines, to_int
+from .trace_ingest import epochs_of, quoted, read_lines, to_int
 from .trainer import TrainedModel
 
 log = logging.getLogger(__name__)
@@ -68,23 +69,24 @@ def scan_epoch(model: TrainedModel, epoch) -> EpochVerdict:
 
 
 def detect(model: TrainedModel, trace) -> DetectionReport:
-    """Partition a trace (a RawTrace or a sequence of syscall names) into
-    epochs and scan each against the frozen model.
+    """Partition a trace (a RawTrace, syscall names, or the epoch-sized
+    RawTrace chunks of one stream, see epochs_of) into epochs and scan each
+    against the frozen model as it arrives.
 
     The trailing partial epoch is scanned when it is at least one window
     long; anything shorter is dropped and counted in the report. Unknown
     syscall names resolve to the OTHER slot, never failing.
     """
-    slots = model.index.resolve_stream(trace)
-    S = model.config.epoch_size
     w = model.config.window_size
-    full, rem = divmod(int(slots.shape[0]), S)
-    verdicts = [scan_epoch(model, slots[e * S : (e + 1) * S]) for e in range(full)]
-    if rem >= w:
-        verdicts.append(scan_epoch(model, slots[full * S :]))
-    elif rem:
-        log.warning("dropping trailing %d calls (shorter than window %d)", rem, w)
-    return DetectionReport(verdicts, rem if rem < w else 0)
+    lut = array("q")  # slots of the stream's names, grown as they appear
+    verdicts, dropped = [], 0
+    for epoch in epochs_of(trace, model.config.epoch_size):
+        if len(epoch.calls) >= w:  # every full epoch, as S >= w
+            verdicts.append(scan_epoch(model, model.index.resolve_stream(epoch, lut)))
+        else:
+            dropped = len(epoch.calls)
+            log.warning("dropping trailing %d calls (shorter than window %d)", dropped, w)
+    return DetectionReport(verdicts, dropped)
 
 
 def format_report(report: DetectionReport) -> str:

@@ -7,9 +7,11 @@ arguments, return values, and PIDs are stripped.
 
 Files are read in text mode as latin-1, one character per byte, BLOCK
 characters at a time, and each block is cut after its last line end; so
-memory holds one block and the coded calls, never the whole text. Text mode
-reads CR and CRLF as LF, and only LF ends a line; a capture's lines are then
-UTF-8 with undecodable bytes replaced. Most tracer lines are settled by one
+memory holds one block and the coded calls, never the whole text; and a
+trace file can be read a chunk of calls at a time (read_trace_chunks), so
+train and detect hold one epoch's codes and read no further than they need.
+Text mode reads CR and CRLF as LF, and only LF ends a line; a capture's
+lines are then UTF-8 with undecodable bytes replaced. Most tracer lines are settled by one
 anchored pattern, a call or unfinished line with an optional pid prefix;
 every other line, and any line holding `<...`, goes whole to parse_line,
 which classifies every line shape and never raises.
@@ -20,12 +22,14 @@ config files), so memory stays bounded on input with no line ends.
 
 A trace is dictionary-coded, like Arrow's DictionaryArray or pandas'
 Categorical: distinct names plus one int32 code per call, in an
-array('i') that numpy views without a copy. RawTrace.from_names is the one
-place a name sequence becomes a trace and checks each distinct name once.
-This module imports no numpy, so `boscids ingest` starts without it.
+array('i') that numpy views without a copy. _coded is the one place a name
+sequence becomes a trace, whole or in chunks, and checks each distinct name
+once. This module imports no numpy, so `boscids ingest` starts without it.
 """
 
 import re
+import reprlib
+import sys
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -70,7 +74,7 @@ class SyscallNameError(ValueError):
     """An invalid syscall name, first called at index position."""
 
     def __init__(self, name: object, position: int):
-        shown = quoted(name) if isinstance(name, str) else repr(name)
+        shown = quoted(name) if isinstance(name, str) else reprlib.repr(name)
         super().__init__(f"invalid syscall name {shown}")
         self.position = position
 
@@ -92,18 +96,13 @@ class RawTrace:
         SyscallNameError. A RawTrace passes through unchanged."""
         if isinstance(seq, RawTrace):
             return seq
-        # A new name's code is the dict's size when first seen; map loops in C.
-        code_of = defaultdict()
-        code_of.default_factory = code_of.__len__
-        codes = map(code_of.__getitem__, seq)
-        # Lists of 4,096 codes: the array grows once per list, not per call.
-        calls = array("i")
-        while chunk := list(islice(codes, 1 << 12)):
-            calls.fromlist(chunk)
-        for code, name in enumerate(code_of):
-            if not (isinstance(name, str) and SYSCALL_NAME_RE.fullmatch(name)):
-                raise SyscallNameError(name, calls.index(code))
-        return cls(tuple(code_of), calls)
+        # One chunk holds every call; an empty sequence gives none.
+        return next(_coded(iter(seq), None), None) or cls((), array("i"))
+
+    def split(self, size: int) -> Iterator["RawTrace"]:
+        """The trace size calls at a time, each chunk sharing these names."""
+        for lo in range(0, len(self.calls), size):
+            yield RawTrace(self.names, self.calls[lo : lo + size])
 
     def file_chunks(self) -> Iterator[bytes]:
         """The trace file's content, a chunk of calls at a time: one name
@@ -114,6 +113,41 @@ class RawTrace:
         step = max(1, BLOCK // 16)
         for start in range(0, len(self.calls), step):
             yield b"".join(map(lines.__getitem__, self.calls[start : start + step]))
+
+
+def _coded(items: Iterator, size: int | None) -> Iterator[RawTrace]:
+    """items coded as RawTrace chunks of size calls (all in one chunk when
+    size is None), the last possibly shorter; no chunk when items is empty.
+
+    Codes are stable across chunks: each chunk's names lists every name seen
+    so far, in first-appearance order. Each new name is checked once, before
+    its chunk is yielded; an item that is not a valid name raises
+    SyscallNameError at its position in items. Items after the last chunk
+    yielded are not pulled."""
+    # A new name's code is the dict's size when first seen; map loops in C.
+    code_of = defaultdict()
+    code_of.default_factory = code_of.__len__
+    codes = map(code_of.__getitem__, items)
+    limit = size or sys.maxsize
+    names: tuple = ()
+    done = 0  # calls in earlier chunks
+    while True:
+        calls = array("i")
+        # Lists of up to 4,096 codes: the array grows once per list, not per call.
+        while (room := limit - len(calls)) and (batch := list(islice(codes, min(room, 1 << 12)))):
+            calls.fromlist(batch)
+        if not calls:
+            return
+        if len(code_of) > len(names):  # names new in this chunk
+            new = tuple(code_of)
+            for code in range(len(names), len(new)):
+                if not (isinstance(new[code], str) and SYSCALL_NAME_RE.fullmatch(new[code])):
+                    raise SyscallNameError(new[code], done + calls.index(code))
+            names = new
+        yield RawTrace(names, calls)
+        if len(calls) < limit:
+            return
+        done += len(calls)
 
 
 @dataclass(frozen=True)
@@ -262,9 +296,12 @@ def write_count_file(table: CountTable, path) -> None:
     )
 
 
-def read_trace_file(path) -> RawTrace:
-    """Read a trace file; an error names the first invalid line, a line that
-    is not a syscall name or is longer than MAX_LINE bytes."""
+def read_trace_chunks(path, size: int | None = None) -> Iterator[RawTrace]:
+    """A trace file's calls as RawTrace chunks of size calls (all in one
+    chunk when size is None), the last possibly shorter; an empty file gives
+    none. Codes are stable across chunks, as in _coded. An error names the
+    first invalid line, one that is not a syscall name or is longer than
+    MAX_LINE bytes; lines after the last chunk yielded are not checked."""
     p = Path(path)
     too_long = False
 
@@ -276,14 +313,48 @@ def read_trace_file(path) -> RawTrace:
                 return
             yield piece
 
+    done = 0
     try:
-        trace = RawTrace.from_names(chain.from_iterable(map(_lines, pieces())))
+        for chunk in _coded(chain.from_iterable(map(_lines, pieces())), size):
+            done += len(chunk.calls)
+            if too_long:  # the chunk ends at a long line: the file fails there
+                break
+            yield chunk
     except SyscallNameError as e:
         raise ValueError(f"{p}: line {e.position + 1}: {e}") from None
     if too_long:
-        raise ValueError(f"{p}: line {len(trace.calls) + 1}: longer than {MAX_LINE} bytes")
+        raise ValueError(f"{p}: line {done + 1}: longer than {MAX_LINE} bytes")
+
+
+def read_trace_file(path) -> RawTrace:
+    """Read a whole trace file as one trace (read_trace_chunks' one chunk)."""
+    p = Path(path)
+    chunks = list(read_trace_chunks(p))
+    trace = chunks[0] if chunks else RawTrace((), array("i"))
     trace.source_meta = f"{p.name}: {len(trace.calls)} lines, 0 garbage"
     return trace
+
+
+def epochs_of(trace, size: int) -> Iterator[RawTrace]:
+    """A trace as chunks of size calls, only the last shorter. trace is a
+    RawTrace, syscall names, or the RawTrace chunks of one stream, such as
+    read_trace_chunks(path, size) yields; chunks are checked lazily to hold
+    size calls each but the last."""
+    if isinstance(trace, RawTrace):
+        yield from trace.split(size)
+        return
+    items = iter(trace)
+    for first in items:  # the first item tells chunks from names
+        if not isinstance(first, RawTrace):
+            yield from RawTrace.from_names(chain([first], items)).split(size)
+            return
+        last = size
+        for chunk in chain([first], items):
+            if last < size or len(chunk.calls) > size:
+                raise ValueError(f"chunks must hold {size} calls each, only the last fewer")
+            last = len(chunk.calls)
+            yield chunk
+        return
 
 
 def read_lines(path, encoding: str = "ascii") -> Iterator[str]:

@@ -8,6 +8,7 @@ import logging
 import math
 import re
 import zlib
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .bosc import CHUNK, Bags, BehaviorDb, Config, unique_window_bags
 from .catalog import OTHER_NAME, SyscallIndex, build_index
-from .trace_ingest import SYSCALL_NAME_RE, CountTable, RawTrace, count_table, quoted
+from .trace_ingest import SYSCALL_NAME_RE, CountTable, RawTrace, count_table, epochs_of, quoted
 
 log = logging.getLogger(__name__)
 
@@ -74,41 +75,46 @@ def cosine_similarity(a, b) -> float:
 
 
 def train(trace, counts: CountTable | None = None, config: Config | None = None) -> TrainedModel:
-    """Learn normal behavior from a trace (a RawTrace or syscall names) of full epochs.
+    """Learn normal behavior from a trace of full epochs: a RawTrace, syscall
+    names, or the epoch-sized RawTrace chunks of one stream (see epochs_of),
+    which need counts.
 
-    After each epoch k>1 the change vector is compared to the previous one;
-    training stops once the similarity stays at or above the threshold for
-    two consecutive epochs. Exhausting the trace without that happening
-    returns a model flagged as non-converged rather than failing: the
-    operator can inspect the history and re-run with more data.
+    Epochs are pulled one at a time. After each epoch k>1 the change vector
+    is compared to the previous one; training stops once the similarity stays
+    at or above the threshold for two consecutive epochs, and pulls no more.
+    Exhausting the trace without that happening returns a model flagged as
+    non-converged rather than failing: the operator can inspect the history
+    and re-run with more data.
     """
     if config is None:
         config = Config()
-    trace = RawTrace.from_names(trace)
-    if counts is None:
+    if counts is None:  # counting needs the whole trace
+        trace = RawTrace.from_names(trace)
         counts = count_table(trace)
     index = build_index(counts)
-    slots = index.resolve_stream(trace)
     S = config.epoch_size
-    w = config.window_size
-    n_epochs = len(slots) // S
-    if n_epochs < 2:
-        raise ValueError(
-            f"training needs at least 2 full epochs of {S} calls; got {len(slots)} calls"
-        )
-    if len(slots) % S:
-        log.info("discarding trailing partial epoch of %d calls", len(slots) % S)
-
     model = TrainedModel(index, BehaviorDb(), config, [])
+    lut = array("q")  # slots of the stream's names, grown as they appear
     change_prev: np.ndarray | None = None
-    for e in range(n_epochs):
-        bags, mult = unique_window_bags(slots[e * S : (e + 1) * S], w, index.n_s)
+    n_calls = 0
+    for epoch in epochs_of(trace, S):
+        n_calls += len(epoch.calls)
+        if len(epoch.calls) < S:  # the trailing partial epoch
+            continue
+        slots = index.resolve_stream(epoch, lut)
+        bags, mult = unique_window_bags(slots, config.window_size, index.n_s)
         change = model.db.insert_many(bags, mult)
         if change_prev is not None:
             model.history.append(cosine_similarity(change, change_prev))
             if model.converged:
                 break
         change_prev = change
+    if not model.history:
+        raise ValueError(
+            f"training needs at least 2 full epochs of {S} calls; got {n_calls} calls"
+        )
+    if n_calls % S:
+        log.info("discarding trailing partial epoch of %d calls", n_calls % S)
     model.db.freeze()
     if not model.converged:
         log.warning("training did not converge after %d epochs", model.epochs_trained)
@@ -339,6 +345,10 @@ def load_model(path) -> TrainedModel:
     n_history = int(rd.fields("history", "history header", f"history={_SIZE}")[1])
     history = [float(rd.fields("history", "history record", rf"\S+ {_FLOAT}")[1]) for _ in range(n_history)]
     rd.check(_tail_lines(history), tail_at)
+    for i, cos in enumerate(history, start=tail_at + 1):
+        # A cosine of two non-negative change vectors; save_model writes no sign.
+        if not 0.0 <= cos <= 1.0 or math.copysign(1.0, cos) < 0:
+            raise ModelFormatError("history", f"line {i}: cosine {cos!r} is signed or outside [0, 1]")
     if not rd.exhausted():
         raise ModelFormatError("structure", "unexpected trailing content before checksum")
     return TrainedModel(index, db, config, history)

@@ -1,7 +1,10 @@
+import contextlib
 import importlib
+import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -479,3 +482,82 @@ def test_package_exports_resolve_to_their_modules_objects():
         assert getattr(boscids, name) is getattr(importlib.import_module(f"boscids.{module}"), name)
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         boscids.nope
+
+
+def test_train_counts_reads_no_line_after_convergence(tmp_path, capsys):
+    # The ab trace converges at epoch 3 (w=2, S=4), so its first 12 lines are
+    # read and checked; a bad name at line 18, in epoch 5, is never read.
+    trace, counts = tmp_path / "ab.trace", tmp_path / "ab.counts"
+    counts.write_text("a\t20\nb\t20\n")
+    for line, want in ((18, 0), (10, 1)):
+        names = ["a", "b"] * 20
+        names[line - 1] = "x-y"
+        trace.write_text("".join(f"{n}\n" for n in names))
+        code, out, err = run(capsys, "train", str(trace), "--counts", str(counts), "--model",
+                             str(tmp_path / "m"), "--epoch-size", "4", "--window", "2")
+        assert code == want
+        if want == 0:
+            assert "converged after 3 epochs" in out
+            assert f"read 12 calls of {trace}; the rest of the file, if any, was neither read nor checked\n" in out
+        else:
+            assert err == f"boscids train: error: {trace}: line 10: invalid syscall name 'x-y'\n"
+
+
+def test_train_without_counts_reads_and_checks_the_whole_file(tmp_path, capsys):
+    trace = tmp_path / "ab.trace"
+    names = ["a", "b"] * 20
+    names[17] = "x-y"
+    trace.write_text("".join(f"{n}\n" for n in names))
+    code, out, err = run(capsys, "train", str(trace), "--model", str(tmp_path / "m"),
+                         "--epoch-size", "4", "--window", "2")
+    assert code == 1
+    assert err == f"boscids train: error: {trace}: line 18: invalid syscall name 'x-y'\n"
+
+
+def _traced_peak(argv):
+    """Exit status and tracemalloc peak of one in-process CLI run."""
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([str(a) for a in argv])
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _cycle_trace(path, epochs, S=5000):
+    # One 20-call cycle over 8 names: every epoch holds the same bags. Even 4
+    # epochs fill more than one block of the reader, whose lines peak alike.
+    cycle = [f"syscall_number_{i % 8}" for i in range(20)]
+    path.write_text("".join(f"{cycle[i % 20]}\n" for i in range(epochs * S)))
+
+
+def test_train_counts_and_detect_memory_is_flat_in_trace_length(tmp_path):
+    # Both hold one epoch at a time: 40 epochs of 5,000 calls peak within
+    # 64 KiB of 4 epochs, where a whole trace of int32 codes and int64 slots
+    # would add about 2 MiB.
+    counts = tmp_path / "t.counts"
+    counts.write_text("".join(f"syscall_number_{i}\t1000\n" for i in range(8)))
+    peaks = {}
+    for epochs in (4, 40):
+        trace, model = tmp_path / f"{epochs}.trace", tmp_path / f"{epochs}.model"
+        _cycle_trace(trace, epochs)
+        code, peaks["train", epochs] = _traced_peak(["train", trace, "--counts", counts, "--model", model])
+        assert code == 0  # converged at epoch 3
+        code, peaks["detect", epochs] = _traced_peak(["detect", trace, "--model", tmp_path / "4.model",
+                                                       "--report", tmp_path / "r"])
+        assert code == 0
+    for cmd in ("train", "detect"):
+        assert peaks[cmd, 40] < peaks[cmd, 4] + 64 * 1024, peaks
+
+
+def test_detect_scans_one_trace_on_the_calling_thread(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    model, bad = ab_model_and_bad_trace(tmp_path, capsys)
+    code, out, _ = run(capsys, "detect", str(bad), "--model", str(model), "--jobs", "2")
+    assert code == 2 and "anomalous_epochs=1" in out

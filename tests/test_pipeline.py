@@ -4,7 +4,8 @@ gen writes a training trace, which is rendered as strace text and ingested;
 train learns from the ingested trace; detect scans a second, injected gen
 trace; eval scores the report against gen's labels. Every output is checked
 against perfbench/oracle.py, which recomputes it from the documented formats
-without importing boscids.
+without importing boscids. The epoch-streaming commands, `train --counts`
+and `detect`, are also checked against the library run on the whole trace.
 """
 
 import importlib.util
@@ -16,7 +17,11 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boscids.bosc import Config
 from boscids.cli import main
+from boscids.detector import detect, write_report_file
+from boscids.trace_ingest import CountTable, read_count_file, read_trace_file, write_count_file
+from boscids.trainer import load_model, save_model, train
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -109,3 +114,62 @@ def test_pipeline_matches_oracle(p):
         want = oracle.eval_counts([rows], [oracle.read_labels(d / "test.labels")])
         got = oracle.parse_eval(out)
         assert {k: got.get(k) for k in want} == {k: str(v) for k, v in want.items()}
+
+
+@st.composite
+def streams(draw):
+    """A training trace whose later epochs bring new names, a count table
+    that may lack some of its names, and a suspect trace with names the table
+    lacks; an epoch's edge may fall anywhere in a window."""
+    w = draw(st.integers(1, 6))
+    S = draw(st.integers(w, 40))
+    base, grow = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+
+    def names(n, extra):  # epoch e draws from the first base + extra + grow * e names
+        raw = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n))
+        return [f"n{x % (base + extra + grow * (i // S))}" for i, x in enumerate(raw)]
+
+    train_names = names(draw(st.integers(2, 8)) * S + draw(st.integers(0, S - 1)), 0)
+    # Names without a slot (count below the number of distinct names) may be
+    # swapped for names the trace lacks, with a count of 1: the slots stay
+    # the same, and the swapped names resolve to OTHER through their absence.
+    entries = oracle.count_entries(train_names)
+    rare = [n for n, c in entries if c < len(entries)]
+    gone = draw(st.sets(st.sampled_from(rare))) if rare else set()
+    counts = {n: c for n, c in entries if n not in gone} | {f"z{i}": 1 for i in range(len(gone))}
+    return {
+        "w": w, "S": S, "train": train_names, "counts": counts,
+        "suspect": names(draw(st.integers(w, 6 * S)), 2),
+        "tt": draw(st.floats(0.05, 1.0)), "frac": draw(st.floats(0.01, 1.0)),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=streams())
+def test_streamed_train_and_detect_equal_the_whole_trace_and_the_oracle(s):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for name, calls in (("train", s["train"]), ("suspect", s["suspect"])):
+            (d / f"{name}.trace").write_text("".join(f"{n}\n" for n in calls), encoding="ascii")
+        write_count_file(CountTable.from_counts(s["counts"]), d / "train.counts")
+        config = Config(s["w"], s["S"], s["tt"], s["frac"])
+        flags = ["--window", s["w"], "--epoch-size", s["S"], "--train-threshold", s["tt"],
+                 "--detect-fraction", s["frac"]]
+
+        code, out = run("train", d / "train.trace", "--counts", d / "train.counts",
+                        "--model", d / "stream.model", *flags)
+        assert code in (0, 3)
+        assert ("neither read nor checked" in out) == (code == 0)
+        whole = train(read_trace_file(d / "train.trace"), read_count_file(d / "train.counts"), config)
+        save_model(whole, d / "whole.model")
+        assert (d / "stream.model").read_bytes() == (d / "whole.model").read_bytes()
+        model = oracle.parse_model(d / "stream.model")
+        assert oracle.check_model(model, s["train"]) == []
+
+        assert run("detect", d / "suspect.trace", "--model", d / "stream.model",
+                   "--report", d / "stream.report")[0] in (0, 2)
+        write_report_file(detect(load_model(d / "stream.model"), read_trace_file(d / "suspect.trace")),
+                          d / "whole.report")
+        text = (d / "stream.report").read_text()
+        assert text == (d / "whole.report").read_text()
+        assert oracle.check_report(text, oracle.report_rows(model, s["suspect"])) == []

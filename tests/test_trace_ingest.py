@@ -374,6 +374,19 @@ def test_coded_trace_paths_equal_name_by_name_oracles(case):
             assert call_names(ti.read_trace_file(path)) == names
 
 
+@settings(max_examples=80, deadline=None)
+@given(coded_traces(), st.integers(1, 9))
+def test_chunks_resolve_through_one_growing_table(case, size):
+    trace, names, index = case
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "t.trace"
+        ti.write_trace_file(trace, path)
+        lut = array("q")
+        slots = [index.resolve_stream(c, lut).tolist() for c in ti.read_trace_chunks(path, size)]
+    assert sum(slots, []) == resolve_each(index, names)
+    assert len(lut) == len(set(names))  # one entry per name the file holds
+
+
 # Pieces of tracer text plus what text-mode reading treats specially: CR,
 # CRLF, NEL, form feed and other non-LF line breaks, a no-break space,
 # Arabic-Indic digits, and bytes that are not UTF-8.
@@ -508,6 +521,44 @@ def test_read_trace_file_across_blocks(lines, final_line_end, sizes):
             assert call_names(ti.read_trace_file(path)) == [n.decode() for n in names]
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(
+        st.one_of(_NAMES.map(str.encode), st.sampled_from([b"", b"x-y", b"wr\xc3\xa9te"])),
+        st.sampled_from([b"\n", b"\r", b"\r\n"]),
+    )),
+    _block_and_max_line(10),
+    st.integers(1, 6),
+)
+def test_read_trace_chunks_equal_the_whole_read(lines, sizes, size):
+    # Read size calls at a time, a trace file gives the calls and names of
+    # the whole read, or fails as it does, at the same line.
+    block, max_line = sizes
+
+    def chunked(path):
+        names, calls = (), array("i")
+        for chunk in ti.read_trace_chunks(path, size):
+            # Only the last chunk is short, and each chunk's names extend the last's.
+            assert len(calls) % size == 0 and 0 < len(chunk.calls) <= size
+            assert chunk.names[: len(names)] == names
+            names = chunk.names
+            calls.extend(chunk.calls)
+        return ti.RawTrace(names, calls)
+
+    def outcome(read, path):
+        try:
+            trace = read(path)
+        except ValueError as e:
+            return str(e)
+        return trace.names, call_names(trace)
+
+    with tempfile.TemporaryDirectory() as d, \
+            mock.patch.object(ti, "BLOCK", block), mock.patch.object(ti, "MAX_LINE", max_line):
+        path = Path(d) / "t.trace"
+        path.write_bytes(b"".join(name + end for name, end in lines))
+        assert outcome(chunked, path) == outcome(ti.read_trace_file, path)
+
+
 _COUNT_LINES = st.one_of(
     st.tuples(_NAMES, st.integers(0, 10**6)).map(lambda nc: f"{nc[0]}\t{nc[1]}".encode()),
     # Not a count line: empty, a bad name, no count, a non-ASCII name or
@@ -612,3 +663,15 @@ def test_a_line_with_no_end_is_read_in_bounded_memory(tmp_path):
         tracemalloc.stop()
     assert call_names(trace) == ["write", "read"]
     assert trace.source_meta == "long.strace: 2 lines, 0 garbage"
+
+
+def test_epochs_of_splits_traces_and_checks_chunk_sizes():
+    trace = ti.RawTrace.from_names(["a", "b", "c"] * 3 + ["a"])
+    for given in (trace, call_names(trace), trace.split(3)):
+        chunks = list(ti.epochs_of(given, 3))
+        assert [call_names(c) for c in chunks] == [["a", "b", "c"]] * 3 + [["a"]]
+    assert list(ti.epochs_of([], 3)) == []
+    for sizes in ([2, 3], [3, 4], [3, 1, 1]):  # a short chunk not last, or a long one
+        chunks = [ti.RawTrace(trace.names, array("i", [0] * n)) for n in sizes]
+        with pytest.raises(ValueError, match="^chunks must hold 3 calls each, only the last fewer$"):
+            list(ti.epochs_of(chunks, 3))

@@ -1,6 +1,7 @@
 import logging
 import math
 import random
+import re
 import zlib
 
 import numpy as np
@@ -139,6 +140,14 @@ def test_train_rejects_int_stream():
     for counts in (None, count_table(["a", "b"] * 8)):
         with pytest.raises(ValueError, match="invalid syscall name"):
             train(slots, counts=counts, config=cfg)
+
+
+def test_train_on_chunks_without_counts_fails_with_a_short_message():
+    # Chunks are no names, and counting would need the whole trace.
+    chunks = RawTrace.from_names(["a", "b"] * 4000).split(4)
+    with pytest.raises(ValueError, match=r"^invalid syscall name RawTrace\(") as exc:
+        train(chunks, config=Config(window_size=2, epoch_size=4))
+    assert len(str(exc.value)) < 80
 
 
 def test_train_discards_trailing_partial_epoch():
@@ -509,6 +518,23 @@ def test_load_rejects_history_record_with_wrong_epoch(tmp_path):
     save_model(model_fixture(), p)  # history "2 1.000000000", "3 1.000000000"
     reseal(p, b"\n3 1.000000000\n", b"\n4 1.000000000\n")
     with pytest.raises(ModelFormatError, match="^history: line 11: '4 1.000000000' should read '3 1.000000000'$") as exc:
+        load_model(p)
+    assert exc.value.section == "history"
+
+
+@pytest.mark.parametrize("records, line, shown", [
+    (b"\n2 5.000000000\n3 -7.000000000\n", 10, "5.0"),
+    (b"\n2 1.000000000\n3 -7.000000000\n", 11, "-7.0"),
+    (b"\n2 -0.000000000\n", 10, "-0.0"),
+], ids=["above-one", "negative", "negative-zero"])
+def test_load_rejects_history_values_no_training_writes(tmp_path, records, line, shown):
+    # Each record is the line save_model writes for its value, but a cosine
+    # of two non-negative change vectors lies in [0, 1] and is written unsigned.
+    p = tmp_path / "m.model"
+    save_model(model_fixture(), p)  # history "2 1.000000000", "3 1.000000000"
+    header = f"history={records.count(b' ')}".encode("ascii")
+    reseal(p, b"\nhistory=2\n2 1.000000000\n3 1.000000000\n", b"\n" + header + records)
+    with pytest.raises(ModelFormatError, match=f"^history: line {line}: cosine {re.escape(shown)} is signed or outside") as exc:
         load_model(p)
     assert exc.value.section == "history"
 
