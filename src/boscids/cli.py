@@ -11,9 +11,10 @@ command imports its own, so `ingest` and `--help` start without numpy.
 """
 
 import argparse
+import itertools
 import os
 import sys
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -148,17 +149,58 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, sub.choices
 
 
+def _new_beside(path: Path) -> Path:
+    """A new empty file in path's directory, named after path; an error names
+    path."""
+    for n in itertools.count():
+        new = path.with_name(f".{path.name}.{os.getpid()}-{n}.tmp")
+        try:
+            os.close(os.open(new, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            return new
+        except FileExistsError:
+            continue
+        except OSError as e:
+            raise OSError(e.errno, e.strerror, str(path)) from None
+
+
+@contextmanager
+def _written_whole(*paths: Path):
+    """Files for a block to write the content of paths to: new files beside
+    them, which replace them only when the block exits cleanly and are
+    removed when it fails. So no path gets partial output, and a path may
+    name a file the block reads. A symlink keeps pointing at its file; a
+    path that names something other than a regular file, such as /dev/null,
+    is written in place."""
+    moves: list[tuple[Path, Path]] = []  # (new file, the file it replaces)
+    try:
+        files = []
+        for path in paths:
+            if path.exists() and not path.is_file():
+                files.append(path)
+                continue
+            target = Path(os.path.realpath(path))
+            moves.append((_new_beside(target), target))
+            files.append(moves[-1][0])
+        yield files
+        for new, target in moves:
+            os.replace(new, target)
+    finally:
+        for new, _ in moves:  # those not moved yet
+            new.unlink(missing_ok=True)
+
+
 def _cmd_ingest(args) -> int:
     src = Path(args.input)
     if not src.is_file():
         raise CliError(f"input: file not found: {src}")
-    trace = trace_ingest.ingest_file(src)
-    table = trace_ingest.count_table(trace)
     trace_out = Path(args.trace_out) if args.trace_out else src.with_name(src.name + ".trace")
     count_out = Path(args.count_out) if args.count_out else src.with_name(src.name + ".counts")
-    trace_ingest.write_trace_file(trace, trace_out)
-    trace_ingest.write_count_file(table, count_out)
-    print(f"{trace.source_meta}; {len(trace.calls)} calls, {len(table)} distinct")
+    # One pass over the capture, a block at a time; the outputs appear only
+    # once it has been read in full, so either may name it.
+    with _written_whole(trace_out, count_out) as (trace_new, count_new):
+        source_meta, table = trace_ingest.ingest_file_to(src, trace_new)
+        trace_ingest.write_count_file(table, count_new)
+    print(f"{source_meta}; {sum(n for _, n in table)} calls, {len(table)} distinct")
     print(f"trace: {trace_out}")
     print(f"counts: {count_out}")
     return 0

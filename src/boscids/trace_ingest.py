@@ -7,9 +7,11 @@ arguments, return values, and PIDs are stripped.
 
 Files are read in text mode as latin-1, one character per byte, BLOCK
 characters at a time, and each block is cut after its last line end; so
-memory holds one block and the coded calls, never the whole text; and a
-trace file can be read a chunk of calls at a time (read_trace_chunks), so
-train and detect hold one epoch's codes and read no further than they need.
+memory holds one block and the coded calls, never the whole text. A capture
+can become its trace file and name counts a block at a time
+(ingest_file_to), with no codes at all; and a trace file can be read a
+chunk of calls at a time (read_trace_chunks), so train and detect hold one
+epoch's codes and read no further than they need.
 Text mode reads CR and CRLF as LF, and only LF ends a line; a capture's
 lines are then UTF-8 with undecodable bytes replaced. Most tracer lines are settled by one
 anchored pattern, a call or unfinished line with an optional pid prefix;
@@ -220,10 +222,14 @@ def _settle(lines: list[str], tally: list[int]) -> list[str]:
     return names
 
 
-def _ingest_batches(batches: Iterable[list[str]], source: str) -> RawTrace:
-    tally = [0, 0]
-    trace = RawTrace.from_names(chain.from_iterable(_settle(b, tally) for b in batches))
-    trace.source_meta = f"{source}: {tally[0]} lines, {tally[1]} garbage"
+def _source_meta(source: str, tally: list[int]) -> str:
+    return f"{source}: {tally[0]} lines, {tally[1]} garbage"
+
+
+def _ingested(blocks: Iterable[list[str]], source: str, tally: list[int]) -> RawTrace:
+    """The trace of blocks of names that _settle adds to tally."""
+    trace = RawTrace.from_names(chain.from_iterable(blocks))
+    trace.source_meta = _source_meta(source, tally)
     return trace
 
 
@@ -234,10 +240,12 @@ def ingest(lines: Iterable[str], source: str = "<stream>") -> RawTrace:
     matching `resumed` line contributes nothing. Signal/exit notices and
     garbage are skipped, with garbage tallied in source_meta.
     """
-    # Lines go through in lists, as ingest_file's blocks do, so the classifier
+    # Lines go through in lists, as a capture's blocks do, so the classifier
     # loops over a list instead of resuming a generator per line.
     it = iter(lines)
-    return _ingest_batches(iter(lambda: list(islice(it, 4096)), []), source)
+    tally = [0, 0]
+    batches = iter(lambda: list(islice(it, 4096)), [])
+    return _ingested((_settle(b, tally) for b in batches), source, tally)
 
 
 def _pieces(path: Path, cap: int) -> Iterator[str]:
@@ -268,12 +276,36 @@ def _lines(piece: str) -> list[str]:
     return lines
 
 
+def _capture_names(path: Path, tally: list[int]) -> Iterator[list[str]]:
+    """The call names of each block of a tracer text file, in order; adds
+    each block's line and garbage counts to tally."""
+    for piece in _pieces(path, MAX_LINE):
+        yield _settle(_lines(piece.encode("latin-1").decode("utf-8", "replace")), tally)
+
+
 def ingest_file(path) -> RawTrace:
     """ingest over the lines of a tracer text file, read a block at a time;
     a line is UTF-8 with undecodable bytes replaced."""
     p = Path(path)
-    texts = (piece.encode("latin-1").decode("utf-8", "replace") for piece in _pieces(p, MAX_LINE))
-    return _ingest_batches(map(_lines, texts), p.name)
+    tally = [0, 0]
+    return _ingested(_capture_names(p, tally), p.name, tally)
+
+
+def ingest_file_to(path, trace_out) -> tuple[str, CountTable]:
+    """Write the trace file of a tracer text file a block at a time, the
+    bytes write_trace_file(ingest_file(path), trace_out) writes, holding no
+    call codes; returns that trace's source_meta and count_table. trace_out
+    is opened before path is read, so it must not be path."""
+    p = Path(path)
+    tally = [0, 0]
+    counts: Counter = Counter()
+    with Path(trace_out).open("wb") as fh:
+        for names in _capture_names(p, tally):
+            if names:
+                counts.update(names)
+                fh.write("\n".join(names).encode("ascii"))
+                fh.write(b"\n")
+    return _source_meta(p.name, tally), CountTable.from_counts(counts)
 
 
 def count_table(trace: RawTrace | Iterable[str]) -> CountTable:

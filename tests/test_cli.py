@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import io
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -549,6 +550,68 @@ def test_train_counts_and_detect_memory_is_flat_in_trace_length(tmp_path):
         assert code == 0
     for cmd in ("train", "detect"):
         assert peaks[cmd, 40] < peaks[cmd, 4] + 64 * 1024, peaks
+
+
+def test_ingest_memory_is_flat_in_capture_length(tmp_path):
+    # ingest holds one block and the distinct names: 40,000 lines peak within
+    # 64 KiB of 4,000, where an int32 code per call would add about 156 KiB.
+    names = ["openat", "read", "mmap", "close", "futex", "epoll_wait", "write", "brk"]
+    peaks = {}
+    for n in (4_000, 40_000):
+        capture = tmp_path / f"{n}.strace"
+        capture.write_text("".join(f'[pid  4242] {names[i % 8]}(AT_FDCWD, "/usr/lib/libc.so", 3) = 3\n'
+                                   for i in range(n)))
+        code, peaks[n] = _traced_peak(["ingest", capture, "--trace-out", tmp_path / "t",
+                                       "--count-out", tmp_path / "c"])
+        assert code == 0
+    assert peaks[40_000] < peaks[4_000] + 64 * 1024, peaks
+
+
+def test_ingest_trace_out_may_name_its_input(tmp_path, capsys, monkeypatch):
+    # The outputs replace their paths only after the whole capture is read,
+    # so a small BLOCK, which has ingest write while it reads, truncates nothing.
+    monkeypatch.setattr(boscids.trace_ingest, "BLOCK", 7)
+    capture = tmp_path / "cap.strace"
+    capture.write_bytes((FIXTURES / "mixed.strace").read_bytes())
+    code, out, _ = run(capsys, "ingest", str(capture), "--trace-out", str(capture),
+                       "--count-out", str(tmp_path / "cap.counts"))
+    assert code == 0 and "195 calls, 20 distinct" in out
+    assert capture.read_bytes() == (FIXTURES / "mixed.expected.trace").read_bytes()
+    assert (tmp_path / "cap.counts").read_bytes() == (FIXTURES / "mixed.expected.counts").read_bytes()
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["cap.counts", "cap.strace"]
+
+
+def test_ingest_failure_leaves_no_output(tmp_path, capsys):
+    capture = tmp_path / "s.strace"
+    capture.write_bytes((FIXTURES / "mixed.strace").read_bytes())
+    code, _, err = run(capsys, "ingest", str(capture), "--trace-out", str(tmp_path / "t.trace"),
+                       "--count-out", str(tmp_path / "nodir" / "c.counts"))
+    assert code == 1
+    assert err == (f"boscids ingest: error: [Errno 2] No such file or directory: "
+                   f"'{tmp_path / 'nodir' / 'c.counts'}'\n")
+    assert [f.name for f in tmp_path.iterdir()] == ["s.strace"]
+
+
+def test_ingest_writes_through_links_pipes_and_stale_files(tmp_path, capsys):
+    # A symlink keeps pointing at its file, a pipe is written in place, and a
+    # leftover of a killed run under the first new-file name is left alone.
+    capture = FIXTURES / "mixed.strace"
+    link, real, fifo = tmp_path / "link.trace", tmp_path / "real.trace", tmp_path / "fifo"
+    link.symlink_to(real)
+    os.mkfifo(fifo)
+    stale = tmp_path / f".real.trace.{os.getpid()}-0.tmp"
+    stale.write_bytes(b"stale")
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, _, _ = run(capsys, "ingest", str(capture), "--trace-out", str(link), "--count-out", str(fifo))
+        assert code == 0
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert os.read(reader, 1 << 16) == (FIXTURES / "mixed.expected.counts").read_bytes()
+    finally:
+        os.close(reader)
+    assert link.is_symlink() and real.read_bytes() == (FIXTURES / "mixed.expected.trace").read_bytes()
+    assert stale.read_bytes() == b"stale"
+    assert sorted(f.name for f in tmp_path.iterdir()) == [stale.name, "fifo", "link.trace", "real.trace"]
 
 
 def test_detect_scans_one_trace_on_the_calling_thread(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import re
 import tempfile
 import tracemalloc
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from boscids import trace_ingest as ti
 from boscids.bosc import Bags, BehaviorDb, Config
 from boscids.catalog import SyscallIndex
-from boscids.cli import CliError, _load_config_file
+from boscids.cli import CliError, _load_config_file, main
 from boscids.detector import read_report_file
 from boscids.evaluator import LabeledCorpus, read_labels, write_labels
 from boscids.trainer import TrainedModel, load_model, save_model
@@ -429,6 +431,30 @@ def test_ingest_file_equals_line_by_line_oracle(data, block):
         with mock.patch.object(ti, "BLOCK", block):
             trace = ti.ingest_file(path)
     assert (call_names(trace), trace.source_meta) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TRACER_BYTES)
+@example(b"")  # the empty capture: empty trace and count files
+@example(b"read(0\r\n<unfinished ...>\r[pid 7] <... read resumed>) = 0\rwrite(1)")
+@example(b"brk(" + b"x" * 200 + b")\r\nmmap(0)\n" + b"y" * 100)  # lines longer than a block
+def test_cli_ingest_equals_the_in_memory_path(data):
+    with tempfile.TemporaryDirectory() as d:
+        path, trace_out, count_out = Path(d) / "t.strace", Path(d) / "out.trace", Path(d) / "out.counts"
+        path.write_bytes(data)
+        for block in (1, 7, 64, ti.BLOCK):
+            with mock.patch.object(ti, "BLOCK", block):
+                trace = ti.ingest_file(path)
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    assert main(["ingest", str(path), "--trace-out", str(trace_out),
+                                 "--count-out", str(count_out)]) == 0
+            table = ti.count_table(trace)
+            ti.write_trace_file(trace, Path(d) / "want.trace")
+            ti.write_count_file(table, Path(d) / "want.counts")
+            assert trace_out.read_bytes() == (Path(d) / "want.trace").read_bytes()
+            assert count_out.read_bytes() == (Path(d) / "want.counts").read_bytes()
+            summary = f"{trace.source_meta}; {len(trace.calls)} calls, {len(table)} distinct\n"
+            assert out.getvalue().startswith(summary)
 
 
 def _block_and_max_line(top):
