@@ -12,8 +12,9 @@ back through Bags.from_counts, and the pure bag_of reference.
 """
 
 import logging
+from array import array
 from dataclasses import dataclass
-from itertools import count, filterfalse, repeat
+from itertools import count, filterfalse, islice, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ log = logging.getLogger(__name__)
 
 BoSC = tuple[int, ...]
 
-CHUNK = 1024  # bags converted between keys and count rows (and model lines) at a time
+CHUNK = 256  # bags converted between keys and count rows (and model lines) at a time
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,11 @@ def unique_window_bags(slots, w: int, n_s: int) -> tuple[Bags, np.ndarray]:
         return Bags(np.zeros(0, dtype=np.dtype((np.void, 4 * w))), n_s), np.zeros(0, dtype=np.int64)
     if arr.min() < 0 or arr.max() >= n_s:
         raise ValueError(f"slot out of range for n_s={n_s}")
-    win = np.sort(np.lib.stride_tricks.sliding_window_view(arr, w), axis=1)
-    keys, counts = np.unique(_keys_of(win, n_s), return_counts=True)
+    # _keys_of's coding, in uint32 (it holds every slot below n_s < 2**32):
+    # the sorted windows are complemented in place, then made big-endian.
+    s = np.sort(np.lib.stride_tricks.sliding_window_view(arr.astype(np.uint32), w), axis=1)
+    np.subtract(n_s - 1, s, out=s)
+    keys, counts = np.unique(s.astype(">u4").view(np.dtype((np.void, 4 * w))).ravel(), return_counts=True)
     return Bags(keys, n_s), counts
 
 
@@ -134,17 +138,18 @@ class BehaviorDb:
     increments.
 
     A dict maps each bag key's bytes to its insertion position, and the int64
-    frequencies are kept in that order. An epoch's bags come in key byte
-    order, so that order sets where its new bags are appended. n_s and w (the
-    key size) come from the first insert. Single-writer during training;
-    freeze() makes it safe for any number of concurrent readers.
+    frequencies are kept in that order, in an array that grows in place. An
+    epoch's bags come in key byte order, so that order sets where its new
+    bags are appended. n_s and w (the key size) come from the first insert.
+    Single-writer during training; freeze() makes it safe for any number of
+    concurrent readers.
     """
 
     def __init__(self):
         self._n_s: int | None = None
         self._dtype: np.dtype | None = None
         self._pos: dict[bytes, int] = {}
-        self._freq = np.zeros(0, dtype=np.int64)
+        self._freq = array("q")
         self._frozen = False
 
     def __len__(self) -> int:
@@ -153,9 +158,10 @@ class BehaviorDb:
     def chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(count matrix, frequencies) of up to CHUNK bags at a time, in
         insertion order."""
-        keys = np.frombuffer(b"".join(self._pos), self._dtype)
+        keys = iter(self._pos)
         for lo in range(0, len(self), CHUNK):
-            yield Bags(keys[lo : lo + CHUNK], self._n_s).counts(), self._freq[lo : lo + CHUNK]
+            chunk = np.frombuffer(b"".join(islice(keys, CHUNK)), self._dtype)
+            yield Bags(chunk, self._n_s).counts(), np.frombuffer(self._freq[lo : lo + CHUNK], np.int64)
 
     def items(self) -> Iterator[tuple[BoSC, int]]:
         """(count tuple, frequency) pairs in insertion order."""
@@ -168,9 +174,9 @@ class BehaviorDb:
             return np.full(len(bags), -1, dtype=np.int64)
         return np.fromiter(map(self._pos.get, bags.keys.tolist(), repeat(-1)), np.int64, len(bags))
 
-    def insert_many(self, bags: Bags, multiplicities) -> np.ndarray:
-        """Add each bag's multiplicity to its frequency and return the change
-        vector: the int64 frequency deltas, indexed by insertion position.
+    def add(self, bags: Bags, multiplicities) -> np.ndarray:
+        """Add each bag's multiplicity to its frequency and return each bag's
+        insertion position. Memory beyond the db is in the number of bags.
 
         Bags new to the db are appended in the order they first appear.
         Raises ValueError, leaving the db as it was, unless there is one
@@ -188,12 +194,19 @@ class BehaviorDb:
             raise ValueError(f"bags over n_s={bags.n_s}, w={bags.w} do not fit a db of "
                              f"n_s={self._n_s}, w={self._dtype.itemsize // 4}")
         keys = bags.keys.tolist()
-        self._pos.update(zip(dict.fromkeys(filterfalse(self._pos.__contains__, keys)), count(len(self))))
+        new = dict.fromkeys(filterfalse(self._pos.__contains__, keys))
+        self._freq.frombytes(bytes(8 * len(new)))  # their zero frequencies
+        self._pos.update(zip(new, count(len(self))))
         pos = np.fromiter(map(self._pos.__getitem__, keys), np.int64, len(keys))
-        self._freq = np.concatenate([self._freq, np.zeros(len(self) - len(self._freq), dtype=np.int64)])
+        np.add.at(np.frombuffer(self._freq, np.int64), pos, mult)
+        return pos
+
+    def insert_many(self, bags: Bags, multiplicities) -> np.ndarray:
+        """add, but return the change vector: the int64 frequency deltas,
+        indexed by insertion position, so as long as the db."""
+        pos = self.add(bags, multiplicities)
         deltas = np.zeros(len(self), dtype=np.int64)
-        np.add.at(deltas, pos, mult)
-        self._freq += deltas
+        np.add.at(deltas, pos, np.asarray(multiplicities))
         return deltas
 
     def freeze(self) -> None:

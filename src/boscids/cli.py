@@ -225,7 +225,8 @@ def _cmd_train(args) -> int:
         model = trainer.train(trace_ingest.read_trace_file(args.trace), config=config)
     for k, cos in enumerate(model.history, start=2):
         print(f"epoch {k} cos={cos:.9f}")
-    trainer.save_model(model, args.model)
+    with _written_whole(Path(args.model)) as (model_new,):
+        trainer.save_model(model, model_new)
     status = "converged" if model.converged else "did NOT converge"
     print(
         f"{status} after {model.epochs_trained} epochs; "
@@ -267,7 +268,8 @@ def _cmd_detect(args) -> int:
             empty = True
             continue
         if args.report:
-            detector.write_report_file(report, args.report)
+            with _written_whole(Path(args.report)) as (report_new,):
+                detector.write_report_file(report, report_new)
             print(f"report: {args.report}")
         else:
             if len(args.traces) > 1:
@@ -316,11 +318,14 @@ def _cmd_gen(args) -> int:
             if args.calls % args.epoch_size:
                 raise CliError("calls: must be a multiple of epoch-size when labels are requested")
             labels = ["normal"] * (args.calls // args.epoch_size)
-    trace_ingest.write_trace_file(trace, args.out)
+    outs = [Path(args.out)] + ([Path(args.labels)] if args.labels else [])
+    with _written_whole(*outs) as files:
+        trace_ingest.write_trace_file(trace, files[0])
+        if args.labels:
+            evaluator.write_labels(labels, files[1])
     print(f"{trace.source_meta}")
     print(f"trace: {args.out}")
     if args.labels:
-        evaluator.write_labels(labels, args.labels)
         print(f"labels: {args.labels}")
     return 0
 

@@ -65,11 +65,13 @@ class RawTraceLine:
     name: str | None = None
 
 
-def quoted(text: str, limit: int = 40) -> str:
+def quoted(text: str, limit: int = 40, length: int | None = None) -> str:
     """repr of text, non-ASCII escaped; a longer text shows its first limit
-    characters and its length."""
+    characters and its length. length, when given, is the length of a text
+    whose start text is."""
+    n = len(text) if length is None else length
     shown = repr(text[:limit].encode("ascii", "backslashreplace").decode("ascii"))
-    return shown if len(text) <= limit else f"{shown}... ({len(text)} characters)"
+    return shown if n <= limit else f"{shown}... ({n} characters)"
 
 
 class SyscallNameError(ValueError):

@@ -1,8 +1,8 @@
 """Train the normal-behavior db epoch by epoch until the per-epoch frequency
 changes stabilize, then persist the whole model as a versioned text file."""
 
+import errno
 import functools
-import io
 import itertools
 import logging
 import math
@@ -10,13 +10,12 @@ import re
 import zlib
 from array import array
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .bosc import CHUNK, Bags, BehaviorDb, Config, unique_window_bags
 from .catalog import OTHER_NAME, SyscallIndex, build_index
-from .trace_ingest import SYSCALL_NAME_RE, CountTable, RawTrace, count_table, epochs_of, quoted
+from .trace_ingest import BLOCK, SYSCALL_NAME_RE, CountTable, RawTrace, count_table, epochs_of, quoted
 
 log = logging.getLogger(__name__)
 
@@ -185,18 +184,22 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 class _LineReader:
-    """The LF-terminated lines of data[:end], read in order. next() keeps
-    each (section, line) it reads in got."""
+    """The LF-terminated lines of the first end bytes of file f, read in
+    order from where f stands, and the crc32 of the text handed out. next()
+    keeps each (section, line) it reads in got."""
 
-    def __init__(self, data: bytes, end: int):
-        self._f = io.BytesIO(data)  # shares data's buffer: no copy
+    def __init__(self, f, end: int):
+        self._f = f
         self._end = end
+        self.crc = 0
         self.got: list[tuple[str, str]] = []
 
     def take(self, n: int) -> bytes:
         """The next n lines (fewer if the body runs out), each with its LF."""
         block = b"".join(itertools.islice(iter(self._f.readline, b""), n))
-        return block[: len(block) - max(self._f.tell() - self._end, 0)]  # never a line at or after end
+        block = block[: len(block) - max(self._f.tell() - self._end, 0)]  # never a line at or after end
+        self.crc = zlib.crc32(block, self.crc)
+        return block
 
     def next(self, section: str) -> str:
         line = self.take(1)
@@ -224,6 +227,58 @@ class _LineReader:
 
     def exhausted(self) -> bool:
         return self._f.tell() >= self._end
+
+
+_TRAILER_RE = re.compile(rb"crc32=[0-9a-f]{8}\n")  # exactly as save_model writes it
+_TRAILER = len("crc32=00000000\n")
+_SHOWN = 40  # characters of a bad trailer quoted in its error
+
+
+def _check_file(f) -> tuple[int, int]:
+    """Read the model file f to its end a block at a time, checking its
+    version header, crc32 trailer and checksum, then that its body is ASCII,
+    with the errors a check of the whole text in that order gives. Returns
+    the body's length and crc32.
+
+    The trailer starts at the file's last "crc32=", so the state is the last
+    _TRAILER bytes read (not yet in crc), the last marker seen and its first
+    _SHOWN bytes."""
+    header = MODEL_HEADER.encode("ascii")
+    block = f.read(BLOCK)
+    # The first line is the header; a block shorter than BLOCK is the whole file.
+    if block[: len(header) + 1] not in (header + b"\n", header):
+        raise ModelFormatError("version", f"expected {MODEL_HEADER!r} header")
+    crc = size = 0  # crc32 of the bytes read before tail; bytes read
+    tail = b""
+    marker, after_lf, shown = -1, False, b""
+    non_ascii = -1  # offset of the first byte above 127
+    while block:
+        if non_ascii < 0 and not block.isascii():
+            non_ascii = size + re.search(rb"[\x80-\xff]", block).start()
+        buf = tail + block  # buf[i] is at offset size - len(tail) + i
+        i = buf.rfind(b"crc32=", max(len(tail) - 5, 0))  # a marker not wholly in tail, so not seen yet
+        if i >= 0:
+            marker = size - len(tail) + i
+            after_lf = marker == 0 or buf[i - 1] == ord("\n")
+            shown = buf[i : i + _SHOWN]
+        elif marker >= 0:
+            shown += block[: _SHOWN - len(shown)]
+        crc = zlib.crc32(memoryview(buf)[:-_TRAILER], crc)
+        tail = buf[-_TRAILER:]
+        size += len(block)
+        block = f.read(BLOCK)
+
+    if marker < 0 or not after_lf:
+        raise ModelFormatError("checksum", "missing crc32 trailer")
+    if size - marker != _TRAILER or _TRAILER_RE.fullmatch(tail) is None:
+        trailer = quoted(shown.decode("latin-1"), _SHOWN, length=size - marker)
+        raise ModelFormatError("checksum", f"unparseable trailer {trailer}")
+    if crc != int(tail[6:14], 16):
+        raise ModelFormatError("checksum", "crc32 mismatch; file corrupted")
+    # The trailer parsed, so a non-ASCII byte lies in the body.
+    if non_ascii >= 0:
+        raise ModelFormatError("structure", f"non-ASCII byte at offset {non_ascii}")
+    return marker, crc
 
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -285,27 +340,24 @@ def load_model(path) -> TrainedModel:
     and checksum; failures name the offending section. The head and history
     are parsed loosely, then each line must be the one save_model writes for
     what was parsed, and entries must be its text too; so saving a loaded
-    model reproduces its file byte for byte."""
-    data = Path(path).read_bytes()
-    newline = data.find(b"\n")
-    first = data[:newline] if newline >= 0 else data
-    if first != MODEL_HEADER.encode("ascii"):
-        raise ModelFormatError("version", f"expected {MODEL_HEADER!r} header")
+    model reproduces its file byte for byte.
 
-    marker = data.rfind(b"crc32=")
-    if marker < 0 or (marker > 0 and data[marker - 1 : marker] != b"\n"):
-        raise ModelFormatError("checksum", "missing crc32 trailer")
-    trailer = data[marker:]
-    if re.fullmatch(rb"crc32=[0-9a-f]{8}\n", trailer) is None:  # exactly as save_model writes it
-        raise ModelFormatError("checksum", f"unparseable trailer {quoted(trailer.decode('latin-1'))}")
-    if zlib.crc32(data[:marker]) != int(trailer[6:14], 16):
-        raise ModelFormatError("checksum", "crc32 mismatch; file corrupted")
+    The file is read twice, a block at a time: once to check it whole
+    (_check_file), then from its start to parse it, each chunk of entries
+    going into the db as it is parsed. So memory beyond the model is one
+    block of text and one chunk of entries, and path must name a file that
+    can be read again from its start: a pipe fails. If the text parsed is
+    not the text checked, the file changed in between, and the load fails."""
+    with open(path, "rb") as f:
+        if not f.seekable():
+            raise OSError(errno.ESPIPE, "a model file is read twice, so it cannot be a pipe", str(path))
+        end, crc = _check_file(f)
+        f.seek(0)
+        return _parse_model(_LineReader(f, end), crc)
 
-    # The trailer parsed, so a non-ASCII byte lies in the body.
-    if not data.isascii():
-        offset = int(np.argmax(np.frombuffer(data, dtype=np.uint8) > 127))
-        raise ModelFormatError("structure", f"non-ASCII byte at offset {offset}")
-    rd = _LineReader(data, marker)
+
+def _parse_model(rd: _LineReader, crc: int) -> TrainedModel:
+    """The model in the lines rd reads, which must have the crc32 crc."""
     rd.next("version")
     m = rd.fields("params", "parameter line", f"w={_SIZE} S={_SIZE} Tt={_FLOAT} TdFrac={_FLOAT}")
     try:
@@ -323,23 +375,21 @@ def load_model(path) -> TrainedModel:
     tail_at = len(rd.got) + n_entries + 1  # the tail's first line number
     rd.check(_head_lines(index, config, n_entries), 1)
     n_s = index.n_s
-    key_chunks, freq_chunks = [], []
+    db = BehaviorDb()
+    dup = -1  # the first entry whose bag an earlier entry holds
     # Bounded memory: one chunk of entry lines at a time, and a forged
-    # entries= count fails at the first chunk the file cannot fill.
+    # entries= count fails at the first chunk the file cannot fill. A
+    # repeated bag is named once every entry has parsed.
     for lo in range(0, n_entries, CHUNK):
         want = min(CHUNK, n_entries - lo)
         counts, freqs = _parse_entries(rd.take(want), n_s, config.window_size, lo)
         if len(freqs) < want:
             raise ModelFormatError("entries", "file truncated")
-        key_chunks.append(Bags.from_counts(counts).keys)
-        freq_chunks.append(freqs)
-    db = BehaviorDb()
-    if n_entries:
-        keys = np.concatenate(key_chunks)
-        db.insert_many(Bags(keys, n_s), np.concatenate(freq_chunks))
-        if len(db) != n_entries:  # the first repeat is the first entry not at its own position
-            dup = int(np.argmax(db.positions(Bags(keys, n_s)) != np.arange(n_entries)))
-            raise ModelFormatError("entries", f"entry {dup}: duplicate bag")
+        pos = db.add(Bags.from_counts(counts), freqs)
+        if dup < 0 and len(db) < lo + want:  # the first repeat is the first entry not at its own position
+            dup = lo + int(np.argmax(pos != np.arange(lo, lo + want)))
+    if dup >= 0:
+        raise ModelFormatError("entries", f"entry {dup}: duplicate bag")
     db.freeze()
 
     n_history = int(rd.fields("history", "history header", f"history={_SIZE}")[1])
@@ -351,4 +401,6 @@ def load_model(path) -> TrainedModel:
             raise ModelFormatError("history", f"line {i}: cosine {cos!r} is signed or outside [0, 1]")
     if not rd.exhausted():
         raise ModelFormatError("structure", "unexpected trailing content before checksum")
+    if rd.crc != crc:
+        raise ModelFormatError("checksum", "file changed while it was read")
     return TrainedModel(index, db, config, history)

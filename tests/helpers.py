@@ -4,13 +4,15 @@ Everything here recounts from scratch, with plain Python loops or with
 count-matrix rows; none of it shares code with the bag-key, coded-trace or
 block-ingest paths under test. The exceptions are insert_counts, a fixture
 builder, first_uniforms and trace_digest, which the generator's
-known-answer pins are checked through, and the entry oracle's messages,
-which quote a line through trace_ingest.quoted as the loader does.
+known-answer pins are checked through, and the entry and model-file
+oracles' messages, which quote a line through trace_ingest.quoted as the
+loader does.
 """
 
 import hashlib
 import math
 import re
+import zlib
 from collections import Counter
 from pathlib import Path
 
@@ -18,6 +20,7 @@ import numpy as np
 
 from boscids.bosc import Bags
 from boscids.trace_ingest import parse_line, quoted
+from boscids.trainer import MODEL_HEADER, ModelFormatError
 
 
 def insert_counts(db, bags, multiplicities=None):
@@ -201,3 +204,26 @@ def parse_entry_section(lines, n_entries, n_s, w):
             raise ValueError(f"entry {i}: duplicate bag")
         seen.add(bag)
     return entries
+
+
+def whole_file_checks(data):
+    """The model loader's version, trailer, checksum and ASCII checks, made
+    on a whole file's bytes held at once: (body length, body crc32), or
+    ModelFormatError with the loader's section and message."""
+    newline = data.find(b"\n")
+    first = data[:newline] if newline >= 0 else data
+    if first != MODEL_HEADER.encode("ascii"):
+        raise ModelFormatError("version", f"expected {MODEL_HEADER!r} header")
+    marker = data.rfind(b"crc32=")
+    if marker < 0 or (marker > 0 and data[marker - 1 : marker] != b"\n"):
+        raise ModelFormatError("checksum", "missing crc32 trailer")
+    trailer = data[marker:]
+    if re.fullmatch(rb"crc32=[0-9a-f]{8}\n", trailer) is None:
+        raise ModelFormatError("checksum", f"unparseable trailer {quoted(trailer.decode('latin-1'))}")
+    crc = zlib.crc32(data[:marker])
+    if crc != int(trailer[6:14], 16):
+        raise ModelFormatError("checksum", "crc32 mismatch; file corrupted")
+    if not data.isascii():
+        offset = int(np.argmax(np.frombuffer(data, dtype=np.uint8) > 127))
+        raise ModelFormatError("structure", f"non-ASCII byte at offset {offset}")
+    return marker, crc

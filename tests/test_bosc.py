@@ -11,6 +11,7 @@ from boscids.bosc import (
     BehaviorDb,
     Config,
     FrozenDbError,
+    _keys_of,
     bag_of,
     epoch_windows,
     unique_window_bags,
@@ -292,6 +293,20 @@ def test_unique_window_bags_wide_alphabet_fallback():
     k1, c1 = unique_bags(epoch_bag_matrix(epoch, w, n_s))
     k2, c2 = unique_window_bags(epoch, w, n_s)
     assert k1 == decoded(k2) and c1.tolist() == c2.tolist()
+
+
+def test_window_keys_at_the_top_of_the_uint32_range():
+    # The largest alphabet keys cover: slots 0 and n_s-1 code as they do
+    # through int64. Decoding these keys would allocate 2**32 counts a bag.
+    n_s, w = 2**32 - 1, 3
+    epoch = np.array([0, n_s - 1, n_s - 1, 0, 0, n_s - 1, n_s - 2, 0], dtype=np.int64)
+    bags, mult = unique_window_bags(epoch, w, n_s)
+    win = np.sort(np.lib.stride_tricks.sliding_window_view(epoch, w), axis=1)
+    keys, counts = np.unique(_keys_of(win, n_s), return_counts=True)
+    assert bags.keys.dtype == keys.dtype and bags.keys.tobytes() == keys.tobytes()
+    assert mult.tolist() == counts.tolist()
+    with pytest.raises(ValueError, match="slot out of range"):
+        unique_window_bags(np.array([0, n_s - 1, n_s]), w, n_s)
 
 
 @st.composite

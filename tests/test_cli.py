@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import importlib
 import io
 import os
@@ -590,6 +591,84 @@ def test_ingest_failure_leaves_no_output(tmp_path, capsys):
     assert err == (f"boscids ingest: error: [Errno 2] No such file or directory: "
                    f"'{tmp_path / 'nodir' / 'c.counts'}'\n")
     assert [f.name for f in tmp_path.iterdir()] == ["s.strace"]
+
+
+def _fails_after_writing(path, *args):
+    """A writer that leaves partial output, then fails as a full disk does."""
+    Path(path).write_bytes(b"partial")
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_train_failure_leaves_the_old_model(tmp_path, capsys, monkeypatch):
+    from boscids import trainer
+
+    model, _ = ab_model_and_bad_trace(tmp_path, capsys)
+    before = model.read_bytes()
+    monkeypatch.setattr(trainer, "save_model", lambda m, path: _fails_after_writing(path))
+    code, out, err = run(capsys, "train", str(tmp_path / "ab.trace"), "--model", str(model),
+                         "--epoch-size", "4", "--window", "2")
+    assert code == 1 and "No space left on device" in err
+    assert "model:" not in out
+    assert model.read_bytes() == before
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["ab.model", "ab.trace", "bad.trace"]
+    code, _, _ = run(capsys, "train", str(tmp_path / "ab.trace"), "--model", str(tmp_path / "nodir" / "m"),
+                     "--epoch-size", "4", "--window", "2")
+    assert code == 1 and not (tmp_path / "nodir").exists()
+
+
+def test_detect_report_failure_leaves_the_old_report(tmp_path, capsys, monkeypatch):
+    from boscids import detector
+
+    model, bad = ab_model_and_bad_trace(tmp_path, capsys)
+    report = tmp_path / "bad.report"
+    assert run(capsys, "detect", str(bad), "--model", str(model), "--report", str(report))[0] == 2
+    before = report.read_bytes()
+    monkeypatch.setattr(detector, "write_report_file", lambda r, path: _fails_after_writing(path))
+    code, out, err = run(capsys, "detect", str(bad), "--model", str(model), "--report", str(report))
+    assert code == 1 and "No space left on device" in err
+    assert "report:" not in out
+    assert report.read_bytes() == before
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["ab.model", "ab.trace", "bad.report", "bad.trace"]
+
+
+def test_gen_failure_leaves_no_output(tmp_path, capsys, monkeypatch):
+    from boscids import evaluator
+
+    out_path = tmp_path / "g.trace"
+    out_path.write_bytes(b"old\n")
+    gen = ("gen", "--calls", "10000", "--out", str(out_path))
+    code, out, err = run(capsys, *gen, "--labels", str(tmp_path / "nodir" / "l.labels"))
+    assert code == 1
+    assert err == (f"boscids gen: error: [Errno 2] No such file or directory: "
+                   f"'{tmp_path / 'nodir' / 'l.labels'}'\n")
+    assert out == ""
+    labels = tmp_path / "g.labels"
+    monkeypatch.setattr(evaluator, "write_labels", lambda labs, path: _fails_after_writing(path))
+    code, out, _ = run(capsys, *gen, "--labels", str(labels))
+    assert code == 1 and out == ""
+    assert out_path.read_bytes() == b"old\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["g.trace"]
+
+
+def test_a_model_being_loaded_is_read_whole_while_train_replaces_it(tmp_path, capsys, monkeypatch):
+    # train puts a new file in place, so a load between its two passes goes
+    # on reading the file it opened.
+    from boscids import trainer
+
+    model, _ = ab_model_and_bad_trace(tmp_path, capsys)
+    before = model.read_bytes()
+    check_file = trainer._check_file
+
+    def check_then_retrain(f):
+        checked = check_file(f)
+        code, _, _ = run(capsys, "train", str(tmp_path / "ab.trace"), "--model", str(model),
+                         "--epoch-size", "4", "--window", "2", "--detect-fraction", "0.5")
+        assert code == 0
+        return checked
+
+    monkeypatch.setattr(trainer, "_check_file", check_then_retrain)
+    assert trainer.load_model(model).config.detect_threshold_fraction == 0.1
+    assert model.read_bytes() != before
 
 
 def test_ingest_writes_through_links_pipes_and_stale_files(tmp_path, capsys):

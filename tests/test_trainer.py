@@ -1,17 +1,26 @@
+import contextlib
+import functools
+import gc
 import logging
 import math
+import os
 import random
 import re
+import tempfile
+import threading
+import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from boscids.bosc import CHUNK, Bags, BehaviorDb, Config, FrozenDbError
+from boscids import trainer
+from boscids.bosc import CHUNK, Bags, BehaviorDb, Config, FrozenDbError, unique_window_bags
 from boscids.catalog import SyscallIndex
-from boscids.trace_ingest import RawTrace, count_table
+from boscids.trace_ingest import BLOCK, RawTrace, count_table
 from boscids.trainer import (
     ModelFormatError,
     TrainedModel,
@@ -27,6 +36,7 @@ from helpers import (
     one_char_edit,
     parse_entry_section,
     reference_cosine,
+    whole_file_checks,
 )
 
 logging.getLogger("boscids").setLevel(logging.ERROR)
@@ -554,3 +564,157 @@ def test_load_rejects_non_ascii_body(tmp_path):
     with pytest.raises(ModelFormatError, match="non-ASCII") as exc:
         load_model(p)
     assert exc.value.section == "structure"
+
+
+def random_model(n, n_s=40, w=10):
+    """A model of about n entries: the bags of n uniform random windows."""
+    rng = np.random.default_rng(n)
+    db = BehaviorDb()
+    db.insert_many(*unique_window_bags(rng.integers(0, n_s, n + w - 1), w, n_s))
+    db.freeze()
+    index = SyscallIndex(tuple(f"s{i}" for i in range(n_s - 1)))
+    return TrainedModel(index, db, Config(window_size=w, epoch_size=5000), [0.5, 1.0])
+
+
+def test_load_model_memory_is_flat_in_model_size(tmp_path):
+    # Beyond the model it returns, load_model holds one block of the file and
+    # one chunk of entries: about 2k and 20k entries peak within 64 KiB of
+    # each other above what the model retains, where the whole text of the
+    # larger file alone is 1.8 MB.
+    excess = {}
+    for n in (2_000, 20_000):
+        p = tmp_path / f"{n}.model"
+        save_model(random_model(n), p)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            model = load_model(p)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(model.db) > 0.9 * n
+        excess[n] = peak - current
+    assert abs(excess[20_000] - excess[2_000]) < 64 * 1024, excess
+
+
+@functools.cache
+def saved_bytes(n):
+    """The bytes of a saved model: the fixture's (n=0), or random_model(n)'s."""
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "m.model"
+        save_model(random_model(n) if n else model_fixture(), p)
+        return p.read_bytes()
+
+
+def _near_blocks(size):
+    """Offsets within 16 bytes of each block boundary of a size-byte file."""
+    return [b + d for b in range(BLOCK, size + 1, BLOCK) for d in range(-16, 17) if 0 <= b + d <= size]
+
+
+def _sealed(body):
+    return body + f"crc32={zlib.crc32(body):08x}\n".encode("ascii")
+
+
+_FRAGMENTS = st.one_of(
+    st.binary(max_size=50),
+    st.sampled_from([b"crc32=", b"\ncrc32=", b"\ncrc32=0123abcd\n", b"\xff", b"\n", b"boscids-model v1\n"]),
+)
+_TRAILERS = st.one_of(
+    st.binary(max_size=60),
+    st.builds(lambda digits, end: b"crc32=" + digits.encode("ascii") + end,
+              st.text("0123456789abcdefABCDEFxz\n", max_size=60), st.sampled_from([b"\n", b"", b"\n\n", b"\r\n"])),
+)
+
+
+@st.composite
+def edited_model_files(draw):
+    """A saved model's bytes after one edit: a bit flip, a cut, bytes appended
+    or inserted, a respelt trailer, a last "crc32=" moved into the body, or a
+    non-ASCII byte. Edits land anywhere, near the end, or near a block
+    boundary; a flip, cut or insert may get a new crc32 trailer, so the
+    later checks are reached too."""
+    base = saved_bytes(draw(st.sampled_from([0, 1600])))  # 1,600 entries span three blocks
+    size = len(base)
+    at = draw(st.one_of(st.integers(0, size), st.integers(max(size - 60, 0), size),
+                        st.sampled_from(_near_blocks(size) or [0])))
+    kind = draw(st.sampled_from(["flip", "cut", "append", "insert", "trailer", "marker", "non-ascii"]))
+    if kind == "flip":
+        k = min(at, size - 1)
+        data = base[:k] + bytes([base[k] ^ 1 << draw(st.integers(0, 7))]) + base[k + 1 :]
+    elif kind == "cut":
+        data = base[:at]
+    elif kind == "append":
+        data = base + draw(_FRAGMENTS)
+    elif kind == "insert":
+        data = base[:at] + draw(_FRAGMENTS) + base[at:]
+    elif kind == "trailer":
+        data = base[:-15] + draw(_TRAILERS)
+    elif kind == "marker":  # the last marker before a run of body bytes
+        k = min(at, size - 15)
+        data = base[:k] + draw(st.sampled_from([b"\n", b"x", b""])) + b"crc32=" + base[k : k + draw(st.integers(0, 80))]
+    else:
+        k = min(at, size - 16)
+        body = base[:k] + bytes([draw(st.integers(128, 255))]) + base[k + 1 : -15]
+        return _sealed(body)
+    if kind in ("flip", "cut", "insert") and draw(st.booleans()):
+        marker = data.rfind(b"crc32=")
+        data = _sealed(data[:marker] if marker >= 0 else data)
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(edited_model_files())
+@example(b"boscids-model v1")  # the header alone, with no line end
+@example(b"crc32=00000000\n")
+@example(saved_bytes(0)[:-15] + b"crc32=" + b"0" * 60 + b"\n")  # a long trailer
+def test_streamed_file_checks_fail_as_whole_file_checks_do(tmp_path_factory, data):
+    p = tmp_path_factory.mktemp("m") / "m.model"
+    p.write_bytes(data)
+    try:
+        checked = whole_file_checks(data)
+    except ModelFormatError as e:
+        with pytest.raises(ModelFormatError) as exc:
+            load_model(p)
+        assert (exc.value.section, str(exc.value)) == (e.section, str(e))
+        return
+    with open(p, "rb") as f:
+        assert trainer._check_file(f) == checked
+    try:
+        load_model(p)
+    except ModelFormatError:  # the parse may reject a resealed edit
+        pass
+
+
+def test_load_fails_when_the_file_changes_between_its_two_reads(tmp_path, monkeypatch):
+    p = tmp_path / "m.model"
+    save_model(model_fixture(), p)  # its one entry is "1 1 0 : 9"
+    check_file = trainer._check_file
+
+    def check_then_edit(f):
+        checked = check_file(f)
+        p.write_bytes(p.read_bytes().replace(b"\n1 1 0 : 9\n", b"\n1 1 0 : 8\n"))  # same file, same length
+        return checked
+
+    monkeypatch.setattr(trainer, "_check_file", check_then_edit)
+    with pytest.raises(ModelFormatError, match="^checksum: file changed while it was read$") as exc:
+        load_model(p)
+    assert exc.value.section == "checksum"
+
+
+def test_load_model_from_a_pipe_fails_naming_it(tmp_path):
+    fifo = tmp_path / "m.fifo"
+    os.mkfifo(fifo)
+
+    def feed():  # opening blocks until the fifo is opened for reading
+        with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as f:
+            f.write(saved_bytes(0))
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        with pytest.raises(OSError, match="cannot be a pipe") as exc:
+            load_model(fifo)
+        assert exc.value.filename == str(fifo)
+    finally:
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))  # frees a writer still waiting
+        writer.join()
