@@ -264,7 +264,9 @@ def _cmd_detect(args) -> int:
     empty = False
     for path, report in zip(args.traces, reports):
         if not report.verdicts:
-            print(f"{path}: empty trace, nothing scanned", file=sys.stderr)
+            n, w = report.dropped_tail_calls, model.config.window_size
+            why = f"{n} calls, fewer than the window of {w};" if n else "empty trace,"
+            print(f"{path}: {why} nothing scanned", file=sys.stderr)
             empty = True
             continue
         if args.report:

@@ -1,7 +1,6 @@
 """Train the normal-behavior db epoch by epoch until the per-epoch frequency
 changes stabilize, then persist the whole model as a versioned text file."""
 
-import errno
 import functools
 import itertools
 import logging
@@ -15,7 +14,7 @@ import numpy as np
 
 from .bosc import CHUNK, Bags, BehaviorDb, Config, unique_window_bags
 from .catalog import OTHER_NAME, SyscallIndex, build_index
-from .trace_ingest import BLOCK, SYSCALL_NAME_RE, CountTable, RawTrace, count_table, epochs_of, quoted
+from .trace_ingest import MAX_LINE, SYSCALL_NAME_RE, CountTable, RawTrace, count_table, epochs_of, quoted
 
 log = logging.getLogger(__name__)
 
@@ -167,9 +166,15 @@ def _entry_text(counts: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 
 
 def save_model(model: TrainedModel, path) -> None:
-    """Write the versioned line-oriented model file with a crc32 trailer."""
+    """Write the versioned line-oriented model file with a crc32 trailer.
+    Raises ValueError before creating it if a head or history line, or an
+    entry line (ns counts of at most w, ": " and a 19-digit frequency, so at
+    most ns * (len(str(w)) + 1) + 21 bytes), could be longer than MAX_LINE."""
     head = _head_lines(model.index, model.config, len(model.db))
     tail = _tail_lines(model.history)
+    longest = max(*map(len, head + tail), model.index.n_s * (len(str(model.config.window_size)) + 1) + 21)
+    if longest > MAX_LINE:
+        raise ValueError(f"a model line could be {longest} bytes, longer than {MAX_LINE} bytes")
     parts = itertools.chain(
         ["".join(f"{line}\n" for line in head).encode("ascii")],
         itertools.starmap(_entry_text, model.db.chunks()),  # one chunk at a time
@@ -183,29 +188,62 @@ def save_model(model: TrainedModel, path) -> None:
         f.write(f"crc32={crc:08x}\n".encode("ascii"))
 
 
-class _LineReader:
-    """The LF-terminated lines of the first end bytes of file f, read in
-    order from where f stands, and the crc32 of the text handed out. next()
-    keeps each (section, line) it reads in got."""
+class _Unreadable(ModelFormatError):
+    """A model file rejected as it is read, whatever its parse would give."""
 
-    def __init__(self, f, end: int):
+
+_TRAILER_RE = re.compile(rb"crc32=[0-9a-f]{8}\n")  # exactly as save_model writes it
+_SHOWN = 40  # characters of a bad trailer quoted in its error
+
+
+class _LineReader:
+    """The LF-terminated lines of model file f, read once from its start. take()
+    and next() hand out all but its last line, the trailer's place; next() keeps
+    each (section, line) it reads in got. Reads are checked as a check of the
+    whole text would: version and line cap at once, the rest in finish()."""
+
+    def __init__(self, f):
         self._f = f
-        self._end = end
-        self.crc = 0
         self.got: list[tuple[str, str]] = []
+        self._lines = self._size = self._crc = 0  # lines and bytes read; crc32 of the lines handed out
+        # The last marker read: its offset, whether it starts a line, its first _SHOWN bytes.
+        self._marker, self._after_lf, self._shown = -1, False, b""
+        self._non_ascii = -1  # offset of the first byte above 127
+        self._last = b""  # the file's last line, once read
 
     def take(self, n: int) -> bytes:
         """The next n lines (fewer if the body runs out), each with its LF."""
-        block = b"".join(itertools.islice(iter(self._f.readline, b""), n))
-        block = block[: len(block) - max(self._f.tell() - self._end, 0)]  # never a line at or after end
-        self.crc = zlib.crc32(block, self.crc)
-        return block
+        lines = []
+        for line in itertools.islice(iter(functools.partial(self._f.readline, MAX_LINE + 1), b""), n):
+            lines.append(line)
+            if len(line) > MAX_LINE and line[-1] != 10:  # no LF in MAX_LINE + 1 bytes
+                break
+        block = b"".join(lines)
+        if not self._size and block.partition(b"\n")[0] != MODEL_HEADER.encode("ascii"):
+            raise _Unreadable("version", f"expected {MODEL_HEADER!r} header")
+        self._lines += len(lines)
+        if lines and len(lines[-1]) > MAX_LINE and lines[-1][-1] != 10:
+            raise _Unreadable("structure", f"line {self._lines}: longer than {MAX_LINE} bytes")
+        if lines and not self._f.peek(1):  # at the end of the file
+            self._last = lines[-1]
+        if self._non_ascii < 0 and not block.isascii():
+            self._non_ascii = self._size + re.search(rb"[\x80-\xff]", block).start()
+        i = block.rfind(b"crc32=")  # whole lines, so a marker is never split
+        if i >= 0:
+            self._marker, self._after_lf = self._size + i, i == 0 or block[i - 1] == 10
+            self._shown = block[i : i + _SHOWN]
+        elif self._marker >= 0:
+            self._shown += block[: _SHOWN - len(self._shown)]
+        self._size += len(block)
+        body = block[: len(block) - len(self._last)]  # never the last line; blocks after it are empty
+        self._crc = zlib.crc32(body, self._crc)
+        return body
 
     def next(self, section: str) -> str:
         line = self.take(1)
         if not line:
             raise ModelFormatError(section, "file truncated")
-        self.got.append((section, line[:-1].decode("ascii")))
+        self.got.append((section, line[:-1].decode("latin-1")))  # a non-ASCII byte fails in finish()
         return self.got[-1][1]
 
     def fields(self, section: str, what: str, pattern: str) -> re.Match:
@@ -225,60 +263,20 @@ class _LineReader:
                 raise ModelFormatError(section, f"line {i}: {quoted(line, 120)} should read {want!r}")
         self.got.clear()
 
-    def exhausted(self) -> bool:
-        return self._f.tell() >= self._end
-
-
-_TRAILER_RE = re.compile(rb"crc32=[0-9a-f]{8}\n")  # exactly as save_model writes it
-_TRAILER = len("crc32=00000000\n")
-_SHOWN = 40  # characters of a bad trailer quoted in its error
-
-
-def _check_file(f) -> tuple[int, int]:
-    """Read the model file f to its end a block at a time, checking its
-    version header, crc32 trailer and checksum, then that its body is ASCII,
-    with the errors a check of the whole text in that order gives. Returns
-    the body's length and crc32.
-
-    The trailer starts at the file's last "crc32=", so the state is the last
-    _TRAILER bytes read (not yet in crc), the last marker seen and its first
-    _SHOWN bytes."""
-    header = MODEL_HEADER.encode("ascii")
-    block = f.read(BLOCK)
-    # The first line is the header; a block shorter than BLOCK is the whole file.
-    if block[: len(header) + 1] not in (header + b"\n", header):
-        raise ModelFormatError("version", f"expected {MODEL_HEADER!r} header")
-    crc = size = 0  # crc32 of the bytes read before tail; bytes read
-    tail = b""
-    marker, after_lf, shown = -1, False, b""
-    non_ascii = -1  # offset of the first byte above 127
-    while block:
-        if non_ascii < 0 and not block.isascii():
-            non_ascii = size + re.search(rb"[\x80-\xff]", block).start()
-        buf = tail + block  # buf[i] is at offset size - len(tail) + i
-        i = buf.rfind(b"crc32=", max(len(tail) - 5, 0))  # a marker not wholly in tail, so not seen yet
-        if i >= 0:
-            marker = size - len(tail) + i
-            after_lf = marker == 0 or buf[i - 1] == ord("\n")
-            shown = buf[i : i + _SHOWN]
-        elif marker >= 0:
-            shown += block[: _SHOWN - len(shown)]
-        crc = zlib.crc32(memoryview(buf)[:-_TRAILER], crc)
-        tail = buf[-_TRAILER:]
-        size += len(block)
-        block = f.read(BLOCK)
-
-    if marker < 0 or not after_lf:
-        raise ModelFormatError("checksum", "missing crc32 trailer")
-    if size - marker != _TRAILER or _TRAILER_RE.fullmatch(tail) is None:
-        trailer = quoted(shown.decode("latin-1"), _SHOWN, length=size - marker)
-        raise ModelFormatError("checksum", f"unparseable trailer {trailer}")
-    if crc != int(tail[6:14], 16):
-        raise ModelFormatError("checksum", "crc32 mismatch; file corrupted")
-    # The trailer parsed, so a non-ASCII byte lies in the body.
-    if non_ascii >= 0:
-        raise ModelFormatError("structure", f"non-ASCII byte at offset {non_ascii}")
-    return marker, crc
+    def finish(self) -> None:
+        """Read the rest of the file a line at a time, then make the trailer,
+        checksum and ASCII checks, in that order."""
+        while self.take(1):
+            pass
+        if self._marker < 0 or not self._after_lf:
+            raise ModelFormatError("checksum", "missing crc32 trailer")
+        if _TRAILER_RE.fullmatch(self._last) is None:
+            trailer = quoted(self._shown.decode("latin-1"), _SHOWN, length=self._size - self._marker)
+            raise ModelFormatError("checksum", f"unparseable trailer {trailer}")
+        if self._crc != int(self._last[6:14], 16):
+            raise ModelFormatError("checksum", "crc32 mismatch; file corrupted")
+        if self._non_ascii >= 0:
+            raise ModelFormatError("structure", f"non-ASCII byte at offset {self._non_ascii}")
 
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -331,7 +329,7 @@ def _parse_entries(block: bytes, n_s: int, w: int, first: int) -> tuple[np.ndarr
     i = int(np.argmax(bad)) if bad.any() else n_ok
     if i == n_ok and ok == len(block):
         return counts.astype(np.min_scalar_type(w)), freqs.astype(np.int64)
-    line = block.split(b"\n")[i].decode("ascii")
+    line = block.split(b"\n")[i].decode("latin-1")
     raise ModelFormatError("entries", f"entry {first + i}: {_entry_error(line, n_s, w)}")
 
 
@@ -342,22 +340,25 @@ def load_model(path) -> TrainedModel:
     what was parsed, and entries must be its text too; so saving a loaded
     model reproduces its file byte for byte.
 
-    The file is read twice, a block at a time: once to check it whole
-    (_check_file), then from its start to parse it, each chunk of entries
-    going into the db as it is parsed. So memory beyond the model is one
-    block of text and one chunk of entries, and path must name a file that
-    can be read again from its start: a pipe fails. If the text parsed is
-    not the text checked, the file changed in between, and the load fails."""
+    The file is read once, so path may be a pipe; memory beyond the model is
+    one chunk of entry lines of at most MAX_LINE bytes. A parse error is
+    raised only if the file passes its trailer, checksum and ASCII checks."""
     with open(path, "rb") as f:
-        if not f.seekable():
-            raise OSError(errno.ESPIPE, "a model file is read twice, so it cannot be a pipe", str(path))
-        end, crc = _check_file(f)
-        f.seek(0)
-        return _parse_model(_LineReader(f, end), crc)
+        rd = _LineReader(f)
+        try:
+            model, error = _parse_model(rd), None
+        except _Unreadable:
+            raise
+        except ModelFormatError as e:
+            model, error = None, e
+        rd.finish()
+    if error is not None:
+        raise error
+    return model
 
 
-def _parse_model(rd: _LineReader, crc: int) -> TrainedModel:
-    """The model in the lines rd reads, which must have the crc32 crc."""
+def _parse_model(rd: _LineReader) -> TrainedModel:
+    """The model in the lines rd reads."""
     rd.next("version")
     m = rd.fields("params", "parameter line", f"w={_SIZE} S={_SIZE} Tt={_FLOAT} TdFrac={_FLOAT}")
     try:
@@ -399,8 +400,6 @@ def _parse_model(rd: _LineReader, crc: int) -> TrainedModel:
         # A cosine of two non-negative change vectors; save_model writes no sign.
         if not 0.0 <= cos <= 1.0 or math.copysign(1.0, cos) < 0:
             raise ModelFormatError("history", f"line {i}: cosine {cos!r} is signed or outside [0, 1]")
-    if not rd.exhausted():
+    if rd.take(1):
         raise ModelFormatError("structure", "unexpected trailing content before checksum")
-    if rd.crc != crc:
-        raise ModelFormatError("checksum", "file changed while it was read")
     return TrainedModel(index, db, config, history)

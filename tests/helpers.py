@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from boscids.bosc import Bags
-from boscids.trace_ingest import parse_line, quoted
+from boscids.trace_ingest import MAX_LINE, parse_line, quoted
 from boscids.trainer import MODEL_HEADER, ModelFormatError
 
 
@@ -207,23 +207,24 @@ def parse_entry_section(lines, n_entries, n_s, w):
 
 
 def whole_file_checks(data):
-    """The model loader's version, trailer, checksum and ASCII checks, made
-    on a whole file's bytes held at once: (body length, body crc32), or
-    ModelFormatError with the loader's section and message."""
+    """The model loader's version, line-length, trailer, checksum and ASCII
+    checks, made on a whole file's bytes held at once: ModelFormatError with
+    the loader's section and message for the first that fails."""
     newline = data.find(b"\n")
     first = data[:newline] if newline >= 0 else data
     if first != MODEL_HEADER.encode("ascii"):
         raise ModelFormatError("version", f"expected {MODEL_HEADER!r} header")
+    for i, line in enumerate(data.split(b"\n"), start=1):
+        if len(line) > MAX_LINE:
+            raise ModelFormatError("structure", f"line {i}: longer than {MAX_LINE} bytes")
     marker = data.rfind(b"crc32=")
     if marker < 0 or (marker > 0 and data[marker - 1 : marker] != b"\n"):
         raise ModelFormatError("checksum", "missing crc32 trailer")
     trailer = data[marker:]
     if re.fullmatch(rb"crc32=[0-9a-f]{8}\n", trailer) is None:
         raise ModelFormatError("checksum", f"unparseable trailer {quoted(trailer.decode('latin-1'))}")
-    crc = zlib.crc32(data[:marker])
-    if crc != int(trailer[6:14], 16):
+    if zlib.crc32(data[:marker]) != int(trailer[6:14], 16):
         raise ModelFormatError("checksum", "crc32 mismatch; file corrupted")
     if not data.isascii():
         offset = int(np.argmax(np.frombuffer(data, dtype=np.uint8) > 127))
         raise ModelFormatError("structure", f"non-ASCII byte at offset {offset}")
-    return marker, crc

@@ -104,7 +104,16 @@ def test_detect_empty_trace_exits_1(tmp_path, capsys):
     empty.write_text("")
     code, _, err = run(capsys, "detect", str(empty), "--model", str(model))
     assert code == 1
-    assert "empty trace" in err
+    assert err == f"{empty}: empty trace, nothing scanned\n"
+
+
+def test_detect_names_a_trace_shorter_than_the_window(tmp_path, capsys):
+    model, _ = ab_model_and_bad_trace(tmp_path, capsys)  # w=2
+    one = tmp_path / "one.trace"
+    one.write_text("a\n")
+    code, out, err = run(capsys, "detect", str(one), "--model", str(model))
+    assert code == 1 and out == ""
+    assert err == f"{one}: 1 calls, fewer than the window of 2; nothing scanned\n"
 
 
 def test_unknown_flag_exits_1(capsys):
@@ -651,22 +660,21 @@ def test_gen_failure_leaves_no_output(tmp_path, capsys, monkeypatch):
 
 
 def test_a_model_being_loaded_is_read_whole_while_train_replaces_it(tmp_path, capsys, monkeypatch):
-    # train puts a new file in place, so a load between its two passes goes
-    # on reading the file it opened.
+    # train puts a new file in place, so a load it overtakes goes on reading
+    # the file it opened.
     from boscids import trainer
 
     model, _ = ab_model_and_bad_trace(tmp_path, capsys)
     before = model.read_bytes()
-    check_file = trainer._check_file
+    parse_model = trainer._parse_model
 
-    def check_then_retrain(f):
-        checked = check_file(f)
+    def retrain_then_parse(rd):
         code, _, _ = run(capsys, "train", str(tmp_path / "ab.trace"), "--model", str(model),
                          "--epoch-size", "4", "--window", "2", "--detect-fraction", "0.5")
         assert code == 0
-        return checked
+        return parse_model(rd)
 
-    monkeypatch.setattr(trainer, "_check_file", check_then_retrain)
+    monkeypatch.setattr(trainer, "_parse_model", retrain_then_parse)
     assert trainer.load_model(model).config.detect_threshold_fraction == 0.1
     assert model.read_bytes() != before
 

@@ -17,10 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from boscids import trainer
 from boscids.bosc import CHUNK, Bags, BehaviorDb, Config, FrozenDbError, unique_window_bags
 from boscids.catalog import SyscallIndex
-from boscids.trace_ingest import BLOCK, RawTrace, count_table
+from boscids.trace_ingest import BLOCK, MAX_LINE, RawTrace, count_table
 from boscids.trainer import (
     ModelFormatError,
     TrainedModel,
@@ -662,59 +661,124 @@ def edited_model_files(draw):
     return data
 
 
+_TRUNCATED_HISTORY = _sealed(saved_bytes(0)[:-15].replace(b"\n3 1.000000000\n", b"\n"))
+_LONG_SLOT = saved_bytes(0).replace(b"\na\n", b"\n" + b"a" * (MAX_LINE + 1) + b"\n")  # crc32 left stale
+
+
 @settings(max_examples=400, deadline=None)
 @given(edited_model_files())
 @example(b"boscids-model v1")  # the header alone, with no line end
 @example(b"crc32=00000000\n")
 @example(saved_bytes(0)[:-15] + b"crc32=" + b"0" * 60 + b"\n")  # a long trailer
+@example(saved_bytes(0)[:-1])  # a trailer with no final LF
+@example(_LONG_SLOT)  # a long line and a bad crc32: the long line fails first
+@example(_TRUNCATED_HISTORY)  # a history record short, so the next line is the trailer
 def test_streamed_file_checks_fail_as_whole_file_checks_do(tmp_path_factory, data):
+    # load_model checks the file as it parses it, with the errors of checking
+    # the whole text first; a file that passes loads or fails its parse, and
+    # a loaded model saves back to the same bytes.
     p = tmp_path_factory.mktemp("m") / "m.model"
     p.write_bytes(data)
     try:
-        checked = whole_file_checks(data)
+        whole_file_checks(data)
     except ModelFormatError as e:
         with pytest.raises(ModelFormatError) as exc:
             load_model(p)
         assert (exc.value.section, str(exc.value)) == (e.section, str(e))
         return
-    with open(p, "rb") as f:
-        assert trainer._check_file(f) == checked
     try:
-        load_model(p)
+        loaded = load_model(p)
     except ModelFormatError:  # the parse may reject a resealed edit
-        pass
+        return
+    save_model(loaded, p)
+    assert p.read_bytes() == data
 
 
-def test_load_fails_when_the_file_changes_between_its_two_reads(tmp_path, monkeypatch):
+@pytest.mark.parametrize("data, message", [
+    (_LONG_SLOT, f"structure: line 4: longer than {MAX_LINE} bytes"),
+    (_TRUNCATED_HISTORY, "history: file truncated"),  # the trailer is never parsed as a record
+], ids=["long-line-and-bad-crc", "truncated-history"])
+def test_load_names_the_first_fault_of_edge_files(tmp_path, data, message):
     p = tmp_path / "m.model"
-    save_model(model_fixture(), p)  # its one entry is "1 1 0 : 9"
-    check_file = trainer._check_file
-
-    def check_then_edit(f):
-        checked = check_file(f)
-        p.write_bytes(p.read_bytes().replace(b"\n1 1 0 : 9\n", b"\n1 1 0 : 8\n"))  # same file, same length
-        return checked
-
-    monkeypatch.setattr(trainer, "_check_file", check_then_edit)
-    with pytest.raises(ModelFormatError, match="^checksum: file changed while it was read$") as exc:
+    p.write_bytes(data)
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
         load_model(p)
-    assert exc.value.section == "checksum"
 
 
-def test_load_model_from_a_pipe_fails_naming_it(tmp_path):
+@pytest.mark.parametrize("old, new, line", [
+    (b"\na\n", b"\n{long}\n", 4),  # a valid syscall name
+    (b"\nentries=1\n1 1 0 : 9\n", b"\nentries=300\n1 1 0 : {long}\n", 8),
+], ids=["slot-name", "entry-in-a-chunk"])
+def test_a_long_model_line_fails_at_once_in_bounded_memory(tmp_path, old, new, line):
+    # A crc-valid model with a line of 20,000,000 bytes: the read stops at
+    # the cap, not at the line end, also amid a chunk of entry lines.
+    p = tmp_path / "m.model"
+    save_model(model_fixture(), p)  # slots "a", "b"
+    reseal(p, old, new.replace(b"{long}", b"x" * 20_000_000))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelFormatError, match=f"^structure: line {line}: longer than {MAX_LINE} bytes$"):
+            load_model(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+
+
+def _load_through_a_fifo(tmp_path, data):
+    """load_model of a fifo that a thread writes data into."""
     fifo = tmp_path / "m.fifo"
     os.mkfifo(fifo)
 
     def feed():  # opening blocks until the fifo is opened for reading
         with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as f:
-            f.write(saved_bytes(0))
+            f.write(data)
 
     writer = threading.Thread(target=feed)
     writer.start()
     try:
-        with pytest.raises(OSError, match="cannot be a pipe") as exc:
-            load_model(fifo)
-        assert exc.value.filename == str(fifo)
+        return load_model(fifo)
     finally:
         os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))  # frees a writer still waiting
         writer.join()
+        fifo.unlink()
+
+
+def test_load_model_reads_a_pipe(tmp_path):
+    data = saved_bytes(1600)
+    save_model(_load_through_a_fifo(tmp_path, data), tmp_path / "resaved.model")
+    assert (tmp_path / "resaved.model").read_bytes() == data
+    flipped = data[:5000] + bytes([data[5000] ^ 4]) + data[5001:]
+    with pytest.raises(ModelFormatError) as oracle:
+        whole_file_checks(flipped)
+    with pytest.raises(ModelFormatError) as exc:
+        _load_through_a_fifo(tmp_path, flipped)
+    assert str(exc.value) == str(oracle.value) == "checksum: crc32 mismatch; file corrupted"
+
+
+def _wide_model(names, w):
+    """A model over slots names whose one entry puts all w calls in slot 0."""
+    db = BehaviorDb()
+    db.insert_many(Bags.from_counts([(w,) + (0,) * len(names)]), [3])
+    db.freeze()
+    return TrainedModel(SyscallIndex(tuple(names)), db, Config(window_size=w, epoch_size=w), [1.0])
+
+
+# An entry line is bounded by n_s * (len(str(w)) + 1) + 21 bytes: at w =
+# 100,000 and n_s = 149,793 that is 1,048,572, within MAX_LINE, and one slot
+# more makes it 1,048,579.
+@pytest.mark.parametrize("names, w", [
+    (lambda more: ["x" * (MAX_LINE + more)], 2),
+    (lambda more: [f"s{i}" for i in range(149_792 + more)], 100_000),
+], ids=["slot-name", "entry-line"])
+def test_save_model_writes_no_line_load_model_refuses(tmp_path, names, w):
+    p = tmp_path / "m.model"
+    save_model(_wide_model(names(0), w), p)
+    data = p.read_bytes()
+    save_model(load_model(p), p)
+    assert p.read_bytes() == data
+    p.unlink()
+    with pytest.raises(ValueError, match=f"longer than {MAX_LINE} bytes"):
+        save_model(_wide_model(names(1), w), p)
+    assert not p.exists()
