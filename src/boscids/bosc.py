@@ -19,11 +19,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .trace_ingest import MAX_LINE
+
 log = logging.getLogger(__name__)
 
 BoSC = tuple[int, ...]
 
 CHUNK = 256  # bags converted between keys and count rows (and model lines) at a time
+MAX_WINDOW = MAX_LINE // 4  # so a bag key, 4 bytes a call, is never longer than a model line
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,8 @@ class Config:
     def __post_init__(self):
         if self.window_size < 1:
             raise ValueError("window_size must be a positive integer")
+        if self.window_size > MAX_WINDOW:
+            raise ValueError(f"window_size must be at most {MAX_WINDOW}")
         if self.epoch_size < self.window_size:
             raise ValueError("epoch_size must be >= window_size")
         if not 0.0 < self.train_threshold <= 1.0:
@@ -96,14 +101,16 @@ class Bags:
     @classmethod
     def from_counts(cls, rows) -> "Bags":
         """Keys of an (m, n_s) count matrix whose rows all sum to one w >= 1."""
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = np.asarray(rows)
+        if not np.can_cast(rows.dtype, np.intp):  # what repeat takes, such as the loader's uint8, is kept
+            rows = rows.astype(np.int64)
         if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] == 0:
             raise ValueError("bags must be a non-empty sequence of equal-length count vectors")
         sums = rows.sum(axis=1)
         if rows.min() < 0 or sums[0] < 1 or (sums != sums[0]).any():
             raise ValueError("bag counts must be non-negative and sum to the same window size")
         m, n_s = rows.shape
-        slots = np.repeat(np.tile(np.arange(n_s), m), rows.ravel()).reshape(m, int(sums[0]))
+        slots = np.repeat(np.tile(np.arange(n_s, dtype=np.uint32), m), rows.ravel()).reshape(m, int(sums[0]))
         return cls(_keys_of(slots, n_s), n_s)
 
     def counts(self) -> np.ndarray:

@@ -140,13 +140,15 @@ def _decimal(values: np.ndarray, tail: bytes) -> tuple[np.ndarray, np.ndarray]:
     """Non-negative integers as fixed-width ASCII digits followed by tail: uint8
     cells of shape values.shape + (width + len(tail),), and the mask that drops
     each value's leading zeros."""
-    v = values.astype(np.min_scalar_type(values.max()), copy=False)
-    width = len(str(v.max()))
+    top = values.max()
+    v = values.astype(np.min_scalar_type(top), copy=False)
+    width = len(str(top))
     cells = np.empty(v.shape + (width + len(tail),), dtype=np.uint8)
     keep = np.ones(cells.shape, dtype=bool)
     for p in range(width):  # digit positions, most significant first
         scale = 10 ** (width - 1 - p)
-        cells[..., p] = v // scale % 10 + ord("0")
+        digit = v // scale if scale > 1 else v
+        cells[..., p] = (digit % 10 if p else digit) + ord("0")  # the first is below 10
         if scale > 1:
             keep[..., p] = v >= scale
     cells[..., width:] = np.frombuffer(tail, dtype=np.uint8)
@@ -284,13 +286,6 @@ _SIZE = "([0-9]{1,19})"  # digits int() converts; the line check rejects other s
 _FLOAT = r"(-?[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)"  # float() converts each match
 
 
-@functools.cache
-def _entry_lines(n_s: int) -> re.Pattern:
-    """A run of entry lines exactly as _entry_text writes them (possessive:
-    a line matches in one way only, so backtracking could not help)."""
-    return re.compile(rb"(?:(?:0 |[1-9][0-9]*+ ){%d}+: [1-9][0-9]*+\n)*+" % n_s)
-
-
 def _entry_error(line: str, n_s: int, w: int) -> str:
     """Why an entry line is rejected: the first check it fails."""
     if ":" not in line:
@@ -313,24 +308,64 @@ def _entry_error(line: str, n_s: int, w: int) -> str:
     return f"unparseable {quoted(line, 120)}"  # leading zeros, "-0" and the like
 
 
+def _digits(buf: np.ndarray, ends: np.ndarray, lens: np.ndarray, width: int, dtype) -> np.ndarray:
+    """The decimal values of the tokens of buf that end before ends and are
+    lens long, at most width, in dtype: one pass a digit place. An empty
+    token, or one of other bytes than digits, gets some value (it may wrap)
+    that the text check rejects."""
+    v = (buf[ends - 1] - ord("0")).astype(dtype, copy=False)
+    for p in range(1, width):
+        v += np.where(lens > p, buf[ends - 1 - p] - ord("0"), 0).astype(dtype, copy=False) * 10**p
+    return v
+
+
+def _entry_values(block: bytes, n_s: int, w: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (m, ns) counts and m frequencies of a block of m LF-terminated entry
+    lines, or None unless every value is in bounds and _entry_text writes
+    exactly the block for them."""
+    buf = np.frombuffer(block, dtype=np.uint8)
+    # Each line is ns + 2 tokens (the counts, ":" and the frequency), each
+    # ending at a space or LF; any other byte below 33 ends one too, and
+    # fails the text check, as does a block of other than m lines.
+    ends = np.flatnonzero(buf <= 32).astype(np.int32)
+    k = n_s + 2
+    m, rest = divmod(len(ends), k)
+    if rest or not m:
+        return None
+    lens = np.empty_like(ends)
+    lens[0] = ends[0]
+    np.subtract(ends[1:], ends[:-1] + 1, out=lens[1:])
+    ends, lens = ends.reshape(m, k), lens.reshape(m, k)
+    # More digits than a count up to w or a frequency below 2**63 has; this
+    # also keeps each digit place within the dtypes below.
+    count_width, freq_width = int(lens[:, :n_s].max()), int(lens[:, -1].max())
+    if count_width > len(str(w)) or freq_width > 19:
+        return None
+    # Unsigned counts that sum to w are each at most w.
+    counts = _digits(buf, ends[:, :n_s], lens[:, :n_s], count_width, np.min_scalar_type(w))
+    if (counts.sum(axis=1, dtype=np.int64) != w).any():
+        return None
+    freqs = _digits(buf, ends[:, -1], lens[:, -1], freq_width, np.uint64)
+    if ((freqs < 1) | (freqs > _INT64_MAX)).any():
+        return None
+    if not np.array_equal(_entry_text(counts, freqs), buf):
+        return None
+    return counts, freqs.astype(np.int64)
+
+
 def _parse_entries(block: bytes, n_s: int, w: int, first: int) -> tuple[np.ndarray, np.ndarray]:
     """The (m, ns) counts and m frequencies of a block of m LF-terminated entry
     lines. Only the text _entry_text writes is accepted; an error names the
     first bad entry, numbered from first, and the first check it fails."""
-    ok = _entry_lines(n_s).match(block).end()  # the canonical lines before the first other
-    n_ok = block.count(b"\n", 0, ok)
-    # Canonical digits only, so fromstring reads ns + 1 values a line; it
-    # saturates a value beyond uint64, which the row checks reject.
-    rows = np.fromstring(block[:ok].replace(b":", b" "), dtype=np.uint64, sep=" ").reshape(n_ok, n_s + 1)
-    counts, freqs = rows[:, :n_s], rows[:, n_s]
-    bad = (counts > w).any(axis=1)  # bounds the sum below
-    bad |= counts.sum(axis=1) != w
-    bad |= freqs > _INT64_MAX
-    i = int(np.argmax(bad)) if bad.any() else n_ok
-    if i == n_ok and ok == len(block):
-        return counts.astype(np.min_scalar_type(w)), freqs.astype(np.int64)
-    line = block.split(b"\n")[i].decode("latin-1")
-    raise ModelFormatError("entries", f"entry {first + i}: {_entry_error(line, n_s, w)}")
+    if not block:
+        return np.zeros((0, n_s), dtype=np.min_scalar_type(w)), np.zeros(0, dtype=np.int64)
+    rows = _entry_values(block, n_s, w)
+    if rows is not None:
+        return rows
+    # A block is accepted exactly when each of its lines is, so one line fails.
+    lines = block.split(b"\n")[:-1]
+    i = next(i for i, line in enumerate(lines) if _entry_values(line + b"\n", n_s, w) is None)
+    raise ModelFormatError("entries", f"entry {first + i}: {_entry_error(lines[i].decode('latin-1'), n_s, w)}")
 
 
 def load_model(path) -> TrainedModel:

@@ -7,11 +7,13 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import pytest
 
 import boscids
+from boscids.bosc import MAX_WINDOW
 from boscids.cli import main
 from boscids.evaluator import write_labels
 
@@ -68,6 +70,31 @@ def test_train_too_short_trace_errors(tmp_path, capsys):
                        "--epoch-size", "4", "--window", "2")
     assert code == 1
     assert "2 full epochs" in err
+
+
+def test_train_refuses_a_window_beyond_the_bound(tmp_path, capsys):
+    trace = tmp_path / "ab.trace"
+    write_ab_trace(trace)
+    model = tmp_path / "m"
+    code, _, err = run(capsys, "train", str(trace), "--model", str(model),
+                       "--epoch-size", str(MAX_WINDOW + 1), "--window", str(MAX_WINDOW + 1))
+    assert code == 1
+    assert err == f"boscids train: error: window_size must be at most {MAX_WINDOW}\n"
+    assert not model.exists()
+
+
+def test_detect_names_a_model_window_beyond_the_bound(tmp_path, capsys):
+    trace = tmp_path / "ab.trace"
+    write_ab_trace(trace)
+    model = tmp_path / "ab.model"
+    run(capsys, "train", str(trace), "--model", str(model), "--epoch-size", "4", "--window", "2")
+    data = model.read_bytes()
+    body = data[: data.rfind(b"crc32=")].replace(b"\nw=2 S=4 ", b"\nw=1000000000 S=1000000000 ")
+    model.write_bytes(body + f"crc32={zlib.crc32(body):08x}\n".encode("ascii"))
+    code, out, err = run(capsys, "detect", str(trace), "--model", str(model))
+    assert code == 1
+    assert out == "" and f"params: window_size must be at most {MAX_WINDOW}" in err
+    assert "Traceback" not in err
 
 
 def test_detect_clean_exits_0(tmp_path, capsys):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from boscids.bosc import CHUNK, Bags, BehaviorDb, Config, FrozenDbError, unique_window_bags
+from boscids.bosc import CHUNK, MAX_WINDOW, Bags, BehaviorDb, Config, FrozenDbError, unique_window_bags
 from boscids.catalog import SyscallIndex
 from boscids.trace_ingest import BLOCK, MAX_LINE, RawTrace, count_table
 from boscids.trainer import (
@@ -33,6 +33,7 @@ from helpers import (
     entry_line,
     insert_counts,
     one_char_edit,
+    parse_entry_line,
     parse_entry_section,
     reference_cosine,
     whole_file_checks,
@@ -406,32 +407,44 @@ def test_model_entries_equal_line_by_line_oracles(tmp_path_factory, case):
     assert p.read_bytes() == data
 
 
-@settings(max_examples=200, deadline=None)
-@given(entry_tables(max_freq=10**15), st.data())
-def test_load_rejects_an_edited_entry_as_the_oracle_does(tmp_path_factory, case, data):
-    n_s, w, rows, freqs = case
-    p = tmp_path_factory.mktemp("m") / "m.model"
-    save_model(model_of(n_s, w, rows, freqs), p)
-    j = data.draw(st.integers(0, len(rows) - 1))
-    line = entry_line(rows[j], freqs[j])
-    edit = data.draw(st.sampled_from(["replace", "insert", "delete", "big"] + ["wrap"] * (n_s > 1)))
+def edited_entry(data, line, n_s, w):
+    """line after one edit drawn from data: a character replaced, inserted or
+    deleted, a count or the frequency near where 64 bits wrap or saturate, two
+    counts grown by 2**64 in all, or a frequency at or past its bounds."""
+    edit = data.draw(st.sampled_from(["replace", "insert", "delete", "big", "freq"] + ["wrap"] * (n_s > 1)))
     tokens = line.split(" ")  # ns counts, ":", the frequency
     if edit == "big":  # a count or the frequency near where 64 bits wrap or saturate
         k = data.draw(st.sampled_from([*range(n_s), n_s + 1]))
         tokens[k] = str(data.draw(st.sampled_from([2**63, 2**64])) + data.draw(st.integers(-2 * w, 2 * w)))
-        edited = " ".join(tokens)
     elif edit == "wrap":  # two counts grown by 2**64 in all, so a 64-bit sum is still w
         a, b = data.draw(st.lists(st.integers(0, n_s - 1), min_size=2, max_size=2, unique=True))
         d = data.draw(st.integers(-w, w))
         tokens[a] = str(int(tokens[a]) + 2**63 + d)
         tokens[b] = str(int(tokens[b]) + 2**63 - d)
-        edited = " ".join(tokens)
+    elif edit == "freq":  # the int64 bounds, and 20 digits
+        tokens[-1] = str(data.draw(st.sampled_from([0, 1, 2**63 - 1, 2**63]) | st.integers(10**19, 10**20 - 1)))
     else:
         k = data.draw(st.integers(0, len(line)))
         char = data.draw(st.sampled_from("0123456789 :-+_x\n"))
-        tail = line[k + 1 :] if edit != "insert" else line[k:]
-        edited = line[:k] + ("" if edit == "delete" else char) + tail
-    reseal(p, f"\n{line}\n".encode("ascii"), f"\n{edited}\n".encode("ascii"))
+        return one_char_edit(line, k, edit, char)
+    return " ".join(tokens)
+
+
+def reseal_entries(p, edits):
+    """Replace the entry lines of saved model p, edits mapping entry number to
+    its new text, and recompute the crc32 trailer."""
+    data = p.read_bytes()
+    lines = data[: data.rfind(b"crc32=")].decode("ascii").split("\n")
+    at = next(i for i, line in enumerate(lines) if line.startswith("entries=")) + 1
+    for j, text in edits.items():
+        lines[at + j] = text
+    p.write_bytes(_sealed("\n".join(lines).encode("ascii")))
+
+
+def load_as_the_oracle_does(p, n_s, w, split):
+    """Assert load_model(p) gives the line-by-line oracle's entries, or its
+    error; a split line (an LF put into an entry) leaves its rest to fail as
+    the history header. Returns the oracle's error, or None."""
     lines, n_entries = entry_lines(p.read_bytes())
     try:
         expected = parse_entry_section(lines, n_entries, n_s, w)
@@ -439,12 +452,82 @@ def test_load_rejects_an_edited_entry_as_the_oracle_does(tmp_path_factory, case,
         with pytest.raises(ModelFormatError) as exc:
             load_model(p)
         assert str(exc.value) == f"entries: {e}"
+        return str(e)
+    if split:
+        with pytest.raises(ModelFormatError, match="^history: bad history header"):
+            load_model(p)
     else:
-        if "\n" in edited:  # valid entries, then the split-off rest as history header
-            with pytest.raises(ModelFormatError, match="^history: bad history header"):
-                load_model(p)
-        else:
-            assert list(load_model(p).db.items()) == expected
+        assert list(load_model(p).db.items()) == expected
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(entry_tables(max_freq=10**15), st.data())
+def test_load_rejects_an_edited_entry_as_the_oracle_does(tmp_path_factory, case, data):
+    n_s, w, rows, freqs = case
+    p = tmp_path_factory.mktemp("m") / "m.model"
+    save_model(model_of(n_s, w, rows, freqs), p)
+    j = data.draw(st.integers(0, len(rows) - 1))
+    edited = edited_entry(data, entry_line(rows[j], freqs[j]), n_s, w)
+    reseal_entries(p, {j: edited})
+    load_as_the_oracle_does(p, n_s, w, "\n" in edited)
+
+
+@st.composite
+def wide_count_tables(draw):
+    """(n_s, w, distinct bags, frequencies): 1 to 3 slots, w up to 1,000, so
+    counts of 1 to 4 digits, and frequencies at the int64 bounds or anywhere
+    between."""
+    n_s = draw(st.integers(1, 3))
+    w = draw(st.integers(1, 1000))
+    cuts = st.lists(st.integers(0, w), min_size=n_s - 1, max_size=n_s - 1).map(sorted)
+    rows = list(dict.fromkeys(
+        tuple(b - a for a, b in zip([0, *c], [*c, w])) for c in draw(st.lists(cuts, min_size=1, max_size=20))))
+    freq = st.sampled_from([1, 2**63 - 1]) | st.integers(1, 2**63 - 1)
+    freqs = draw(st.lists(freq, min_size=len(rows), max_size=len(rows)))
+    return n_s, w, rows, freqs
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_count_tables(), st.data())
+@example((1, 1000, [(1000,)], [2**63 - 1]), None)
+@example((3, 999, [(999, 0, 0), (0, 9, 990), (100, 899, 0)], [1, 2**63 - 1, 10**18]), None)
+def test_load_reads_counts_of_many_digits_as_the_oracle_does(tmp_path_factory, case, data):
+    # Saved as is, the entries load back to the same bytes; one edited entry
+    # loads, or fails, as the oracle says.
+    n_s, w, rows, freqs = case
+    p = tmp_path_factory.mktemp("m") / "m.model"
+    save_model(model_of(n_s, w, rows, freqs), p)
+    saved = p.read_bytes()
+    assert list(load_model(p).db.items()) == list(zip(rows, freqs))
+    save_model(load_model(p), p)
+    assert p.read_bytes() == saved
+    if data is None:
+        return
+    j = data.draw(st.integers(0, len(rows) - 1))
+    edited = edited_entry(data, entry_line(rows[j], freqs[j]), n_s, w)
+    reseal_entries(p, {j: edited})
+    load_as_the_oracle_does(p, n_s, w, "\n" in edited)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2 * CHUNK + 1, 3 * CHUNK), st.data())
+def test_load_names_the_first_of_two_edited_entries_across_chunks(tmp_path_factory, n, data):
+    # More than two chunks, one entry edited anywhere and a second one after
+    # it: the earlier edit is the one named, if it is bad on its own.
+    n_s, w, rows, freqs = _many_entries(n=n)
+    p = tmp_path_factory.mktemp("m") / "m.model"
+    save_model(model_of(n_s, w, rows, freqs), p)
+    j = data.draw(st.integers(0, n - 2))
+    j2 = data.draw(st.integers(j + 1, n - 1))
+    first, second = (edited_entry(data, entry_line(rows[i], freqs[i]), n_s, w) for i in (j, j2))
+    reseal_entries(p, {j: first, j2: second})
+    error = load_as_the_oracle_does(p, n_s, w, "\n" in first + second)
+    try:
+        parse_entry_line(first, n_s, w)
+    except ValueError as e:
+        if "\n" not in first:
+            assert error == f"entry {j}: {e}"
 
 
 @settings(max_examples=300, deadline=None)
@@ -520,6 +603,35 @@ def test_load_rejects_params_that_fail_config(tmp_path):
         with pytest.raises(ModelFormatError, match=needle) as exc:
             load_model(p)
         assert exc.value.section == "params"
+
+
+def test_load_rejects_a_window_beyond_the_bound_in_little_memory(tmp_path):
+    # A crc-valid model whose one entry is a window of 10**9 calls, a bag key
+    # of 4 GB: it fails at its parameter line, before an entry is read.
+    p = tmp_path / "m.model"
+    save_model(model_fixture(), p)  # w=2, S=4, the one entry "1 1 0 : 9"
+    reseal(p, b"\nw=2 S=4 ", b"\nw=1000000000 S=1000000000 ")
+    reseal(p, b"\n1 1 0 : 9\n", b"\n1000000000 0 0 : 1\n")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelFormatError, match=f"^params: window_size must be at most {MAX_WINDOW}$"):
+            load_model(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_window_bound_keeps_a_bag_key_within_a_model_line(tmp_path):
+    assert 4 * MAX_WINDOW <= MAX_LINE
+    with pytest.raises(ValueError, match=f"^window_size must be at most {MAX_WINDOW}$"):
+        Config(window_size=MAX_WINDOW + 1, epoch_size=MAX_WINDOW + 1)
+    p = tmp_path / "m.model"
+    save_model(_wide_model(["a"], MAX_WINDOW), p)  # the one entry "262144 0 : 3"
+    data = p.read_bytes()
+    save_model(load_model(p), p)
+    assert p.read_bytes() == data
 
 
 def test_load_rejects_history_record_with_wrong_epoch(tmp_path):
