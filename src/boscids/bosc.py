@@ -6,9 +6,11 @@ model loader all handle bags as bag keys: the window's slots complemented
 np.void of 4*w bytes. Equal bags have equal keys, and ascending byte order of
 keys is ascending lexicographic order of the count vectors, so keys sort and
 unique without being decoded, and the db looks their bytes up in a dict.
-Keys are exact for every n_s < 2**32 and every w. Count vectors appear only
-at the edges: the model file, written from BehaviorDb.chunks() and read
-back through Bags.from_counts, and the pure bag_of reference.
+Keys are exact for every n_s < 2**32 and every w. _keys_of is the one place
+a key is coded, for windows and model rows alike, and Bags.counts the one
+place one is decoded. Count vectors appear only at the edges: the model
+file, written from BehaviorDb.chunks() and read back through
+Bags.from_counts, and the pure bag_of reference.
 """
 
 import logging
@@ -78,10 +80,13 @@ def bag_of(window: Sequence[int], n_s: int) -> BoSC:
     return tuple(counts)
 
 
-def _keys_of(slots: np.ndarray, n_s: int) -> np.ndarray:
-    """Bag keys of (m, w) windows whose slots are sorted ascending per row."""
-    c = np.ascontiguousarray(n_s - 1 - slots, dtype=">u4")
-    return c.view(np.dtype((np.void, 4 * c.shape[1]))).ravel()
+def _keys_of(s: np.ndarray, n_s: int) -> np.ndarray:
+    """Bag keys of a writable C-contiguous uint32 (m, w) array whose rows are
+    sorted ascending, coded in place: s is complemented, then big-endian."""
+    np.subtract(n_s - 1, s, out=s)
+    if np.little_endian:
+        s.byteswap(inplace=True)
+    return s.view(np.dtype((np.void, 4 * s.shape[1]))).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,11 +133,8 @@ def unique_window_bags(slots, w: int, n_s: int) -> tuple[Bags, np.ndarray]:
         return Bags(np.zeros(0, dtype=np.dtype((np.void, 4 * w))), n_s), np.zeros(0, dtype=np.int64)
     if arr.min() < 0 or arr.max() >= n_s:
         raise ValueError(f"slot out of range for n_s={n_s}")
-    # _keys_of's coding, in uint32 (it holds every slot below n_s < 2**32):
-    # the sorted windows are complemented in place, then made big-endian.
     s = np.sort(np.lib.stride_tricks.sliding_window_view(arr.astype(np.uint32), w), axis=1)
-    np.subtract(n_s - 1, s, out=s)
-    keys, counts = np.unique(s.astype(">u4").view(np.dtype((np.void, 4 * w))).ravel(), return_counts=True)
+    keys, counts = np.unique(_keys_of(s, n_s), return_counts=True)
     return Bags(keys, n_s), counts
 
 
@@ -148,8 +150,7 @@ class BehaviorDb:
     frequencies are kept in that order, in an array that grows in place. An
     epoch's bags come in key byte order, so that order sets where its new
     bags are appended. n_s and w (the key size) come from the first insert.
-    Single-writer during training; freeze() makes it safe for any number of
-    concurrent readers.
+    Single-writer during training; freeze() makes every later write raise.
     """
 
     def __init__(self):

@@ -112,7 +112,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--detect-fraction", type=float, metavar="F",
                    help="override the model's mismatch threshold fraction (default: the model's own)")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="scan multiple traces on N threads; one trace is scanned on the main thread (default: 1)")
+                   help="ignored, and to be removed: traces are scanned one after another (default: 1)")
 
     p = sub.add_parser("eval", parents=[config],
                        help="compute TPR/FPR from reports and label files",
@@ -250,16 +250,8 @@ def _cmd_detect(args) -> int:
     if args.detect_fraction is not None:
         model.config = replace(model.config, detect_threshold_fraction=args.detect_fraction)
 
-    def scan(path: str) -> detector.DetectionReport:
-        return detector.detect(model, trace_ingest.read_trace_chunks(path, model.config.epoch_size))
-
-    if args.jobs > 1 and len(args.traces) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(scan, args.traces))
-    else:
-        reports = list(map(scan, args.traces))
+    reports = [detector.detect(model, trace_ingest.read_trace_chunks(path, model.config.epoch_size))
+               for path in args.traces]
 
     empty = False
     for path, report in zip(args.traces, reports):

@@ -91,6 +91,13 @@ def trace_text(names):
     return "".join(f"{n}\n" for n in names).encode("ascii")
 
 
+def reference_keys(rows, n_s):
+    """Bag keys of (m, w) slot rows sorted ascending, coded through a new
+    big-endian copy of the complements."""
+    c = np.ascontiguousarray(n_s - 1 - np.asarray(rows, dtype=np.int64), dtype=">u4")
+    return c.view(np.dtype((np.void, 4 * c.shape[1]))).ravel()
+
+
 def brute_force_bag(window, n_s):
     counts = [0] * n_s
     for s in window:

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,7 +13,7 @@ from boscids.bosc import (
     BehaviorDb,
     Config,
     FrozenDbError,
-    _keys_of,
+    MAX_WINDOW,
     bag_of,
     epoch_windows,
     unique_window_bags,
@@ -21,6 +23,7 @@ from helpers import (
     brute_force_epoch_bags,
     epoch_bag_matrix,
     insert_counts,
+    reference_keys,
     unique_bags,
 )
 
@@ -302,11 +305,29 @@ def test_window_keys_at_the_top_of_the_uint32_range():
     epoch = np.array([0, n_s - 1, n_s - 1, 0, 0, n_s - 1, n_s - 2, 0], dtype=np.int64)
     bags, mult = unique_window_bags(epoch, w, n_s)
     win = np.sort(np.lib.stride_tricks.sliding_window_view(epoch, w), axis=1)
-    keys, counts = np.unique(_keys_of(win, n_s), return_counts=True)
+    keys, counts = np.unique(reference_keys(win, n_s), return_counts=True)
     assert bags.keys.dtype == keys.dtype and bags.keys.tobytes() == keys.tobytes()
     assert mult.tolist() == counts.tolist()
     with pytest.raises(ValueError, match="slot out of range"):
         unique_window_bags(np.array([0, n_s - 1, n_s]), w, n_s)
+
+
+@pytest.mark.parametrize("m", [16, 64])
+def test_from_counts_holds_only_its_keys_at_the_window_bound(m):
+    # A model chunk of m rows at the largest window: keys of 4*w bytes a row
+    # are coded in the one array they are built in, with no copy beside it.
+    rows = np.zeros((m, 3), dtype=np.int64)
+    rows[:, 0] = MAX_WINDOW - np.arange(m)
+    rows[:, 1] = np.arange(m)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        bags = Bags.from_counts(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bags.w == MAX_WINDOW and len(bags) == m
+    assert peak <= bags.keys.nbytes + 2**20, peak
 
 
 @st.composite

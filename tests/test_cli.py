@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -346,6 +347,40 @@ def test_detect_multiple_traces_with_jobs(tmp_path, capsys):
                        "--model", str(model), "--jobs", "2")
     assert code == 2
     assert str(trace) in out and str(bad) in out
+
+
+def test_detect_scans_traces_in_turn_on_the_main_thread(tmp_path, capsys, monkeypatch):
+    from boscids import detector, trace_ingest
+
+    model, bad = ab_model_and_bad_trace(tmp_path, capsys)
+    traces = [str(bad), str(tmp_path / "ab.trace"), str(bad)]
+    events = []
+    read, detect = trace_ingest.read_trace_chunks, detector.detect
+
+    def logged_read(path, size):
+        events.append(path)
+        return read(path, size)
+
+    def logged_detect(*args, **kwargs):
+        events.append(threading.current_thread())
+        return detect(*args, **kwargs)
+
+    monkeypatch.setattr(trace_ingest, "read_trace_chunks", logged_read)
+    monkeypatch.setattr(detector, "detect", logged_detect)
+    outs = {}
+    for jobs in ("1", "2"):
+        events.clear()
+        code, outs[jobs], _ = run(capsys, "detect", *traces, "--model", str(model), "--jobs", jobs)
+        assert code == 2
+        assert events == [x for path in traces for x in (path, threading.main_thread())]
+    assert outs["2"] == outs["1"]
+
+
+def test_detect_of_several_traces_loads_no_thread_pool(tmp_path, capsys):
+    model, bad = ab_model_and_bad_trace(tmp_path, capsys)
+    argv = ["detect", str(bad), str(tmp_path / "ab.trace"), "--model", str(model), "--jobs", "2"]
+    probe = f"import sys; from boscids import cli; code = cli.main({argv!r}); print(code, 'concurrent.futures' in sys.modules)"
+    assert _probe(probe).endswith("\n2 False\n")
 
 
 def ab_model_and_bad_trace(tmp_path, capsys, *train_flags):
