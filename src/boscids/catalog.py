@@ -1,7 +1,7 @@
 """Syscall-to-slot index with an OTHER bucket for rare and unknown names."""
 
-from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,36 +16,40 @@ class SyscallIndex:
 
     Retained (frequent) names occupy slots 0..len(slots)-1 in count-table
     order; everything else, including names never seen in training, resolves
-    to the reserved final OTHER slot, len(slots).
+    to the reserved final OTHER slot, len(slots). _slot_of is the one
+    name -> slot map; no lookup state outlives a call.
     """
 
     slots: tuple[str, ...]
 
     def __post_init__(self):
-        if len(set(self.slots)) != len(self.slots):
+        if len(self._slot_of) != len(self.slots):
             raise ValueError("slot names must be unique")
-        if OTHER_NAME in self.slots:
+        if OTHER_NAME in self._slot_of:
             raise ValueError(f"{OTHER_NAME!r} is reserved for the fallback slot")
+
+    @cached_property
+    def _slot_of(self) -> dict[str, int]:
+        return {name: slot for slot, name in enumerate(self.slots)}
 
     @property
     def n_s(self) -> int:
         return len(self.slots) + 1
 
     def resolve(self, name: str) -> int:
-        return self.slots.index(name) if name in self.slots else len(self.slots)
+        return self._slot_of.get(name, len(self.slots))
 
-    def resolve_stream(self, trace, lut: array | None = None) -> np.ndarray:
-        """Resolve a trace (a RawTrace or names) to int64 slots by one gather.
-
-        The chunks of one stream, whose names each extend the last chunk's,
-        resolve one at a time through one lut, an array('q') of the slots of
-        the names resolved so far: each call extends it by its chunk's new
-        names only."""
+    def resolve_stream(self, trace) -> np.ndarray:
+        """Resolve a trace (a RawTrace or names) to int64 slots by one gather,
+        through a table of the slots of the names its calls use. A chunk of
+        a stream resolves on its own: its names list every name of the
+        stream so far, so only those its calls use are looked up."""
         trace = RawTrace.from_names(trace)
-        if lut is None:
-            lut = array("q")
-        lut.extend(map(self.resolve, trace.names[len(lut) :]))
-        return np.frombuffer(lut, dtype=np.int64)[np.frombuffer(trace.calls, dtype=np.int32)]
+        codes = np.frombuffer(trace.calls, dtype=np.int32)
+        used = np.flatnonzero(np.bincount(codes, minlength=len(trace.names)))
+        table = np.full(len(trace.names), len(self.slots), dtype=np.int64)
+        table[used] = [self.resolve(trace.names[c]) for c in used.tolist()]
+        return table[codes]
 
 
 def build_index(counts: CountTable) -> SyscallIndex:

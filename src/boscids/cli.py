@@ -170,15 +170,24 @@ def _written_whole(*paths: Path):
     removed when it fails. So no path gets partial output, and a path may
     name a file the block reads. A symlink keeps pointing at its file; a
     path that names something other than a regular file, such as /dev/null,
-    is written in place."""
+    is written in place. Two paths that name one file fail before any file
+    is made."""
+    # The file each path replaces; None for one written in place.
+    targets = [None if path.exists() and not path.is_file() else Path(os.path.realpath(path))
+               for path in paths]
+    named: dict[Path, Path] = {}  # target -> the first path naming it
+    for path, target in zip(paths, targets):
+        if target in named:
+            raise CliError(f"outputs {named[target]} and {path} name the same file")
+        if target is not None:
+            named[target] = path
     moves: list[tuple[Path, Path]] = []  # (new file, the file it replaces)
     try:
         files = []
-        for path in paths:
-            if path.exists() and not path.is_file():
+        for path, target in zip(paths, targets):
+            if target is None:
                 files.append(path)
                 continue
-            target = Path(os.path.realpath(path))
             moves.append((_new_beside(target), target))
             files.append(moves[-1][0])
         yield files

@@ -3,7 +3,6 @@ bags."""
 
 import logging
 import re
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,11 +77,10 @@ def detect(model: TrainedModel, trace) -> DetectionReport:
     syscall names resolve to the OTHER slot, never failing.
     """
     w = model.config.window_size
-    lut = array("q")  # slots of the stream's names, grown as they appear
     verdicts, dropped = [], 0
     for epoch in epochs_of(trace, model.config.epoch_size):
         if len(epoch.calls) >= w:  # every full epoch, as S >= w
-            verdicts.append(scan_epoch(model, model.index.resolve_stream(epoch, lut)))
+            verdicts.append(scan_epoch(model, model.index.resolve_stream(epoch)))
         else:
             dropped = len(epoch.calls)
             log.warning("dropping trailing %d calls (shorter than window %d)", dropped, w)

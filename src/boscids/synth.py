@@ -10,6 +10,7 @@ platforms and library versions. A known-answer test pins the stream.
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -57,7 +58,8 @@ class SourceSpec:
     """A seeded order-1 Markov source over a syscall alphabet.
 
     zipf_s shapes the stationary name skew (0 = uniform); the transition
-    matrix carries the dynamics and must be row-stochastic.
+    matrix carries the dynamics and must be row-stochastic; seed, a
+    non-negative integer, drives the sampled walk.
     """
 
     alphabet: tuple[str, ...]
@@ -72,13 +74,18 @@ class SourceSpec:
         # from_names rejects an invalid name and codes a repeated one once.
         if len(RawTrace.from_names(self.alphabet).names) != n:
             raise ValueError("alphabet names must be unique")
+        # Each check is written so that NaN fails it. zipf_s comes first, as
+        # make_source builds the matrix from it.
+        if not self.zipf_s >= 0:
+            raise ValueError("zipf_s must be non-negative")
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise ValueError("seed must be a non-negative integer")
         if self.transition.shape != (n, n):
             raise ValueError(f"transition matrix must be {n}x{n}")
-        sums = self.transition.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-9):
+        if not np.all(np.abs(self.transition.sum(axis=1) - 1.0) <= 1e-9):
             raise ValueError("every transition row must sum to 1 within 1e-9")
-        if self.zipf_s < 0:
-            raise ValueError("zipf_s must be non-negative")
+        if not np.all(self.transition >= 0):
+            raise ValueError("transition entries must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,9 @@ config files), so memory stays bounded on input with no line ends.
 A trace is dictionary-coded, like Arrow's DictionaryArray or pandas'
 Categorical: distinct names plus one int32 code per call, in an
 array('i') that numpy views without a copy. _coded is the one place a name
-sequence becomes a trace, whole or in chunks, and checks each distinct name
-once. This module imports no numpy, so `boscids ingest` starts without it.
+sequence becomes a trace, whole or in chunks; it checks each distinct name
+once and names a trace file's over-long line. This module imports no numpy,
+so `boscids ingest` starts without it.
 """
 
 import re
@@ -75,11 +76,12 @@ def quoted(text: str, limit: int = 40, length: int | None = None) -> str:
 
 
 class SyscallNameError(ValueError):
-    """An invalid syscall name, first called at index position."""
+    """An invalid syscall name, the item first called at index position."""
 
     def __init__(self, name: object, position: int):
         shown = quoted(name) if isinstance(name, str) else reprlib.repr(name)
         super().__init__(f"invalid syscall name {shown}")
+        self.item = name
         self.position = position
 
 
@@ -330,34 +332,30 @@ def write_count_file(table: CountTable, path) -> None:
     )
 
 
+_LONG_LINE = object()  # the item a trace line longer than MAX_LINE becomes
+
+
 def read_trace_chunks(path, size: int | None = None) -> Iterator[RawTrace]:
     """A trace file's calls as RawTrace chunks of size calls (all in one
     chunk when size is None), the last possibly shorter; an empty file gives
-    none. Codes are stable across chunks, as in _coded. An error names the
-    first invalid line, one that is not a syscall name or is longer than
-    MAX_LINE bytes; lines after the last chunk yielded are not checked."""
+    none. _coded keeps codes stable across chunks and checks the lines: an
+    error names the first invalid line, one that is not a syscall name or is
+    longer than MAX_LINE bytes; lines after the last chunk yielded are not
+    checked."""
     p = Path(path)
-    too_long = False
 
-    def pieces() -> Iterator[str]:
-        nonlocal too_long
+    def lines() -> Iterator[list]:  # a piece's lines at a time
         for piece in _pieces(p, MAX_LINE + 1):
-            if piece.index("\n") > MAX_LINE:
-                too_long = True  # the lines before it are still checked
+            if piece.index("\n") > MAX_LINE:  # only a piece's first line can be that long
+                yield [_LONG_LINE]  # not a name: _coded fails there
                 return
-            yield piece
+            yield _lines(piece)
 
-    done = 0
     try:
-        for chunk in _coded(chain.from_iterable(map(_lines, pieces())), size):
-            done += len(chunk.calls)
-            if too_long:  # the chunk ends at a long line: the file fails there
-                break
-            yield chunk
+        yield from _coded(chain.from_iterable(lines()), size)
     except SyscallNameError as e:
-        raise ValueError(f"{p}: line {e.position + 1}: {e}") from None
-    if too_long:
-        raise ValueError(f"{p}: line {done + 1}: longer than {MAX_LINE} bytes")
+        why = f"longer than {MAX_LINE} bytes" if e.item is _LONG_LINE else e
+        raise ValueError(f"{p}: line {e.position + 1}: {why}") from None
 
 
 def read_trace_file(path) -> RawTrace:
@@ -371,16 +369,16 @@ def read_trace_file(path) -> RawTrace:
 
 def epochs_of(trace, size: int) -> Iterator[RawTrace]:
     """A trace as chunks of size calls, only the last shorter. trace is a
-    RawTrace, syscall names, or the RawTrace chunks of one stream, such as
-    read_trace_chunks(path, size) yields; chunks are checked lazily to hold
-    size calls each but the last."""
+    RawTrace, syscall names, coded a chunk at a time by _coded, or the
+    RawTrace chunks of one stream, such as read_trace_chunks(path, size)
+    yields; chunks are checked lazily to hold size calls each but the last."""
     if isinstance(trace, RawTrace):
         yield from trace.split(size)
         return
     items = iter(trace)
     for first in items:  # the first item tells chunks from names
         if not isinstance(first, RawTrace):
-            yield from RawTrace.from_names(chain([first], items)).split(size)
+            yield from _coded(chain([first], items), size)
             return
         last = size
         for chunk in chain([first], items):

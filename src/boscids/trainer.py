@@ -7,7 +7,6 @@ import logging
 import math
 import re
 import zlib
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,14 +91,13 @@ def train(trace, counts: CountTable | None = None, config: Config | None = None)
     index = build_index(counts)
     S = config.epoch_size
     model = TrainedModel(index, BehaviorDb(), config, [])
-    lut = array("q")  # slots of the stream's names, grown as they appear
     change_prev: np.ndarray | None = None
     n_calls = 0
     for epoch in epochs_of(trace, S):
         n_calls += len(epoch.calls)
         if len(epoch.calls) < S:  # the trailing partial epoch
             continue
-        slots = index.resolve_stream(epoch, lut)
+        slots = index.resolve_stream(epoch)
         bags, mult = unique_window_bags(slots, config.window_size, index.n_s)
         change = model.db.insert_many(bags, mult)
         if change_prev is not None:

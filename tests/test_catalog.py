@@ -99,6 +99,24 @@ def test_resolve_stream_takes_a_trace_or_names():
     assert slots.dtype == np.int64
 
 
+def test_resolve_stream_looks_up_only_the_names_its_calls_use(monkeypatch):
+    # A chunk of a stream lists every name seen so far, so a stream of many
+    # distinct names would cost each chunk a lookup per name of the stream.
+    index = build_index(CountTable((("read", 10), ("write", 5))))
+    looked_up = []
+    resolve = SyscallIndex.resolve
+
+    def counted(self, name):
+        looked_up.append(name)
+        return resolve(self, name)
+
+    monkeypatch.setattr(SyscallIndex, "resolve", counted)
+    names = tuple(f"n{i}" for i in range(1000)) + ("read", "write")
+    trace = RawTrace(names, array("i", [1000, 5, 1001, 1000]))
+    assert index.resolve_stream(trace).tolist() == [0, 2, 1, 0]
+    assert sorted(looked_up) == ["n5", "read", "write"]
+
+
 def test_resolve_stream_rejects_int_streams():
     index = build_index(CountTable((("read", 10),)))
     for stream in ([0, 2], np.array([1, 1], dtype=np.int32), [b"read"]):

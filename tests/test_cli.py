@@ -763,6 +763,43 @@ def test_ingest_writes_through_links_pipes_and_stale_files(tmp_path, capsys):
     assert sorted(f.name for f in tmp_path.iterdir()) == [stale.name, "fifo", "link.trace", "real.trace"]
 
 
+def test_two_outputs_that_name_one_file_are_refused(tmp_path, capsys):
+    # Checked before any file is made; a symlink names its file, and an
+    # output that is not a regular file may still be written twice.
+    capture = tmp_path / "cap.txt"
+    capture.write_bytes((FIXTURES / "mixed.strace").read_bytes())
+    same, alias = tmp_path / "same.out", tmp_path / "alias.out"
+    alias.symlink_to(same.name)
+    gen = ("gen", "--calls", "10", "--epoch-size", "5")
+    for a, b in ((same, same), (same, alias), (alias, same)):
+        for before in (None, b"old\n"):
+            if before is not None:
+                same.write_bytes(before)
+            for name, argv in (("ingest", ("ingest", str(capture), "--trace-out", str(a), "--count-out", str(b))),
+                               ("gen", (*gen, "--out", str(a), "--labels", str(b)))):
+                code, out, err = run(capsys, *argv)
+                assert code == 1 and out == ""
+                assert err == f"boscids {name}: error: outputs {a} and {b} name the same file\n"
+                assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
+                    ["cap.txt", "alias.out"] + (["same.out"] if before else []))
+                if before is not None:
+                    assert same.read_bytes() == before
+            same.unlink(missing_ok=True)
+    code, _, _ = run(capsys, "ingest", str(capture), "--trace-out", os.devnull, "--count-out", os.devnull)
+    assert code == 0
+    assert run(capsys, *gen, "--out", os.devnull, "--labels", os.devnull)[0] == 0
+
+
+def test_gen_refuses_a_nan_skew_and_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "g.trace"
+    for flag, value, message in (("--zipf-s", "nan", "zipf_s must be non-negative"),
+                                 ("--seed", "-1", "seed must be a non-negative integer")):
+        code, stdout, err = run(capsys, "gen", "--calls", "20", "--out", str(out), flag, value)
+        assert code == 1 and stdout == ""
+        assert err == f"boscids gen: error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_detect_scans_one_trace_on_the_calling_thread(tmp_path, capsys, monkeypatch):
     import concurrent.futures
 

@@ -168,6 +168,17 @@ def test_detect_unknown_names_go_to_other_slot():
     assert report.verdicts[0].mismatches == 3  # every bag is (0,0,2), unseen
 
 
+def test_detect_over_a_name_iterator_equals_over_the_names():
+    # An iterator is coded an epoch at a time, so later epochs bring names
+    # the first lacks; each resolves as in the whole list.
+    model = tiny_model([(1, 1, 0)], S=4)
+    body = ["a", "b"] * 4 + ["b", "ptrace", "b", "a", "bpf", "a", "b", "b"]
+    for names in (body + ["a", "ptrace", "b"], body + ["bpf"]):  # a scanned tail, a dropped one
+        report = detect(model, names)
+        assert report.trace_anomalous
+        assert detect(model, iter(names)) == report
+
+
 def test_detect_threshold_fraction_override():
     model = tiny_model([(1, 1, 0)], S=4)
     trace = RawTrace.from_names(["a", "a", "b", "b"])

@@ -67,6 +67,20 @@ def test_source_spec_validates_rows():
         SourceSpec(("a", "b"), bad, 1.0, 0)
 
 
+def test_source_spec_refuses_nan_negative_entries_and_negative_seeds():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="sum to 1"):
+        SourceSpec(("a", "b"), np.array([[nan, nan], [0.5, 0.5]]), 1.0, 0)
+    with pytest.raises(ValueError, match="^transition entries must be non-negative$"):
+        SourceSpec(("a", "b"), np.array([[1.5, -0.5], [0.5, 0.5]]), 1.0, 0)
+    with pytest.raises(ValueError, match="^zipf_s must be non-negative$"):
+        make_source(n_names=8, zipf_s=nan)
+    for seed in (-1, np.int64(-1), 0.5, "1"):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+            SourceSpec(("a",), np.array([[1.0]]), 1.0, seed)
+    assert SourceSpec(("a",), np.array([[1.0]]), 1.0, np.int64(3)).seed == 3
+
+
 def test_source_spec_validates_names():
     with pytest.raises(ValueError, match="invalid syscall name"):
         SourceSpec(("not a name",), np.array([[1.0]]), 1.0, 0)

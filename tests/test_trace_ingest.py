@@ -378,15 +378,15 @@ def test_coded_trace_paths_equal_name_by_name_oracles(case):
 
 @settings(max_examples=80, deadline=None)
 @given(coded_traces(), st.integers(1, 9))
-def test_chunks_resolve_through_one_growing_table(case, size):
+def test_chunks_resolve_each_on_their_own(case, size):
+    # Resolved last chunk first, so no chunk can lean on one resolved before.
     trace, names, index = case
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "t.trace"
         ti.write_trace_file(trace, path)
-        lut = array("q")
-        slots = [index.resolve_stream(c, lut).tolist() for c in ti.read_trace_chunks(path, size)]
-    assert sum(slots, []) == resolve_each(index, names)
-    assert len(lut) == len(set(names))  # one entry per name the file holds
+        chunks = list(ti.read_trace_chunks(path, size))
+    slots = [index.resolve_stream(c).tolist() for c in reversed(chunks)]
+    assert sum(reversed(slots), []) == resolve_each(index, names)
 
 
 # Pieces of tracer text plus what text-mode reading treats specially: CR,
@@ -689,6 +689,36 @@ def test_a_line_with_no_end_is_read_in_bounded_memory(tmp_path):
         tracemalloc.stop()
     assert call_names(trace) == ["write", "read"]
     assert trace.source_meta == "long.strace: 2 lines, 0 garbage"
+
+
+def test_a_long_line_that_starts_a_chunk_fails_at_its_line(tmp_path):
+    # The chunk size divides the lines before the long one, so the long line
+    # is alone in its chunk; the full chunks before it are still yielded.
+    path = tmp_path / "t.trace"
+    path.write_bytes(b"read\nwrite\nbrk\nmmap\n" + b"x" * 11 + b"\nnot-a-name\n")
+    with mock.patch.object(ti, "BLOCK", 8), mock.patch.object(ti, "MAX_LINE", 10):
+        for size in (1, 2, 4):
+            chunks = ti.read_trace_chunks(path, size)
+            got = [call_names(next(chunks)) for _ in range(4 // size)]
+            assert sum(got, []) == ["read", "write", "brk", "mmap"]
+            message = f"{path}: line 5: longer than 10 bytes"
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                next(chunks)
+        # A bad name before the long line, in its chunk, comes first.
+        path.write_bytes(b"read\nwr-ite\n" + b"x" * 11 + b"\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: line 2: invalid syscall name")):
+            list(ti.read_trace_chunks(path, 4))
+
+
+def test_epochs_of_codes_names_an_epoch_at_a_time():
+    def names():  # a one-shot stream that fails past its first epoch
+        yield from ["read", "write", "read"]
+        raise RuntimeError("read past the first epoch")
+
+    epochs = ti.epochs_of(names(), 3)
+    assert call_names(next(epochs)) == ["read", "write", "read"]
+    with pytest.raises(RuntimeError, match="past the first epoch"):
+        next(epochs)
 
 
 def test_epochs_of_splits_traces_and_checks_chunk_sizes():
