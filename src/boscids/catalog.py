@@ -41,9 +41,9 @@ class SyscallIndex:
 
     def resolve_stream(self, trace) -> np.ndarray:
         """Resolve a trace (a RawTrace or names) to int64 slots by one gather,
-        through a table of the slots of the names its calls use. A chunk of
-        a stream resolves on its own: its names list every name of the
-        stream so far, so only those its calls use are looked up."""
+        through a table of the slots of the names its calls use. A chunk
+        resolves on its own; a RawTrace.split chunk shares its whole trace's
+        names, so only those its calls use are looked up."""
         trace = RawTrace.from_names(trace)
         codes = np.frombuffer(trace.calls, dtype=np.int32)
         used = np.flatnonzero(np.bincount(codes, minlength=len(trace.names)))

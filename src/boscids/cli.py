@@ -132,7 +132,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out", required=True, metavar="PATH", help="trace file to write")
     p.add_argument("--seed", type=int, default=42, metavar="SEED", help="generator seed (default: 42)")
     p.add_argument("--alphabet-size", type=int, default=64, metavar="N",
-                   help="distinct syscall names in the source (default: 64)")
+                   help="distinct syscall names in the source, 1 to 1024 (default: 64)")
     p.add_argument("--zipf-s", type=float, default=1.2, metavar="S",
                    help="stationary frequency skew, 0 = uniform (default: 1.2)")
     p.add_argument("--labels", metavar="PATH", help="write per-epoch labels here")

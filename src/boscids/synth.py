@@ -49,6 +49,9 @@ INJECTION_MODES = ("novel_names", "shuffled_transitions", "burst_repeat")
 # make_source's hot loop length and the spacing of its cold-walk return states.
 HOT_STATES = 5
 RETURN_SPACING = 10
+# make_source's largest alphabet, over twice Linux's syscall table: its matrix,
+# and the walk's cumulative rows, take memory quadratic in the alphabet.
+MAX_ALPHABET = 1024
 
 _INJECT_STREAM_TAG = 0xB05C
 
@@ -154,6 +157,8 @@ def make_source(n_names: int = 64, zipf_s: float = 1.2, seed: int = 0,
     """
     if n_names < 1:
         raise ValueError("n_names must be positive")
+    if n_names > MAX_ALPHABET:
+        raise ValueError(f"n_names must be at most {MAX_ALPHABET}")
     if not 0.0 < excursion < 1.0:
         raise ValueError("excursion must be in (0, 1)")
     alphabet = list(COMMON_SYSCALLS[:n_names])
@@ -227,7 +232,7 @@ def gen_anomalous(spec: SourceSpec, total_calls: int, inj: InjectionSpec,
             raise ValueError(f"target epoch {e} outside trace of {n_epochs} epochs")
 
     base = gen_normal(spec, total_calls)
-    calls = array("i", base.calls)
+    calls = base.calls  # nothing else holds this trace: inject in place
     alphabet = spec.alphabet
     init_cum = _cum(_zipf_weights(len(alphabet), spec.zipf_s))
     novel = [nm for nm in NOVEL_SYSCALLS if nm not in alphabet] or [f"novel_{i}" for i in range(8)]

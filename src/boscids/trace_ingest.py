@@ -26,8 +26,10 @@ A trace is dictionary-coded, like Arrow's DictionaryArray or pandas'
 Categorical: distinct names plus one int32 code per call, in an
 array('i') that numpy views without a copy. _coded is the one place a name
 sequence becomes a trace, whole or in chunks; it checks each distinct name
-once and names a trace file's over-long line. This module imports no numpy,
-so `boscids ingest` starts without it.
+once and names a trace file's over-long line. Each chunk carries only the
+names its calls use, as an Arrow record batch may carry its own dictionary,
+so reading is linear in the trace. This module imports no numpy
+(count_table imports it when called), so `boscids ingest` starts without it.
 """
 
 import re
@@ -125,31 +127,31 @@ def _coded(items: Iterator, size: int | None) -> Iterator[RawTrace]:
     """items coded as RawTrace chunks of size calls (all in one chunk when
     size is None), the last possibly shorter; no chunk when items is empty.
 
-    Codes are stable across chunks: each chunk's names lists every name seen
-    so far, in first-appearance order. Each new name is checked once, before
-    its chunk is yielded; an item that is not a valid name raises
-    SyscallNameError at its position in items. Items after the last chunk
-    yielded are not pulled."""
-    # A new name's code is the dict's size when first seen; map loops in C.
-    code_of = defaultdict()
-    code_of.default_factory = code_of.__len__
-    codes = map(code_of.__getitem__, items)
+    Each chunk is coded with its own dictionary: its names are exactly the
+    names its calls use, in first-appearance order. Each distinct name is
+    checked once per stream, before the chunk it first appears in is
+    yielded; an item that is not a valid name raises SyscallNameError at its
+    position in items. Items after the last chunk yielded are not pulled."""
     limit = size or sys.maxsize
-    names: tuple = ()
+    checked: set = set()  # names of earlier chunks, all valid
     done = 0  # calls in earlier chunks
     while True:
+        # A new name's code is the dict's size when first seen; map loops in C.
+        code_of = defaultdict()
+        code_of.default_factory = code_of.__len__
+        codes = map(code_of.__getitem__, items)
         calls = array("i")
         # Lists of up to 4,096 codes: the array grows once per list, not per call.
         while (room := limit - len(calls)) and (batch := list(islice(codes, min(room, 1 << 12)))):
             calls.fromlist(batch)
         if not calls:
             return
-        if len(code_of) > len(names):  # names new in this chunk
-            new = tuple(code_of)
-            for code in range(len(names), len(new)):
-                if not (isinstance(new[code], str) and SYSCALL_NAME_RE.fullmatch(new[code])):
-                    raise SyscallNameError(new[code], done + calls.index(code))
-            names = new
+        names = tuple(code_of)
+        for code, name in enumerate(names):
+            if name not in checked:
+                if not (isinstance(name, str) and SYSCALL_NAME_RE.fullmatch(name)):
+                    raise SyscallNameError(name, done + calls.index(code))
+                checked.add(name)
         yield RawTrace(names, calls)
         if len(calls) < limit:
             return
@@ -314,9 +316,11 @@ def ingest_file_to(path, trace_out) -> tuple[str, CountTable]:
 
 def count_table(trace: RawTrace | Iterable[str]) -> CountTable:
     """Count each name's calls; names no call uses are left out."""
+    import numpy as np  # here, so that importing this module loads no numpy
+
     trace = RawTrace.from_names(trace)
-    counts = Counter(trace.calls)
-    return CountTable.from_counts({n: counts[c] for c, n in enumerate(trace.names) if counts[c]})
+    counts = np.bincount(np.frombuffer(trace.calls, np.int32), minlength=len(trace.names))
+    return CountTable.from_counts({n: c for n, c in zip(trace.names, counts.tolist()) if c})
 
 
 def write_trace_file(trace: RawTrace, path) -> None:
@@ -338,7 +342,7 @@ _LONG_LINE = object()  # the item a trace line longer than MAX_LINE becomes
 def read_trace_chunks(path, size: int | None = None) -> Iterator[RawTrace]:
     """A trace file's calls as RawTrace chunks of size calls (all in one
     chunk when size is None), the last possibly shorter; an empty file gives
-    none. _coded keeps codes stable across chunks and checks the lines: an
+    none. _coded gives each chunk its own names and checks the lines: an
     error names the first invalid line, one that is not a syscall name or is
     longer than MAX_LINE bytes; lines after the last chunk yielded are not
     checked."""

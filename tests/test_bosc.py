@@ -369,3 +369,16 @@ def test_incremental_db_equals_brute_force_recount():
             bags, mult = unique_window_bags(epoch, w, n_s)
             db.insert_many(bags, mult)
         assert dict(db.items()) == brute_force_db(stream, S, w, n_s)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Bags.from_counts([]), "bags must be a non-empty sequence of equal-length count vectors"),
+    (lambda: Bags.from_counts(np.zeros((0, 3))), "bags must be a non-empty sequence of equal-length count vectors"),
+    (lambda: Bags.from_counts([[2, -1]]), "bag counts must be non-negative and sum to the same window size"),
+    (lambda: Bags.from_counts([[1, 0], [1, 1]]), "bag counts must be non-negative and sum to the same window size"),
+    (lambda: Bags.from_counts([[0, 0]]), "bag counts must be non-negative and sum to the same window size"),
+    (lambda: list(epoch_windows([1, 2], 0)), "window size must be a positive integer"),
+])
+def test_bad_bags_and_windows_are_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()

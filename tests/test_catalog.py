@@ -100,8 +100,8 @@ def test_resolve_stream_takes_a_trace_or_names():
 
 
 def test_resolve_stream_looks_up_only_the_names_its_calls_use(monkeypatch):
-    # A chunk of a stream lists every name seen so far, so a stream of many
-    # distinct names would cost each chunk a lookup per name of the stream.
+    # A RawTrace.split chunk lists every name of its whole trace, so a trace
+    # of many distinct names would cost each chunk a lookup per name.
     index = build_index(CountTable((("read", 10), ("write", 5))))
     looked_up = []
     resolve = SyscallIndex.resolve
@@ -115,6 +115,15 @@ def test_resolve_stream_looks_up_only_the_names_its_calls_use(monkeypatch):
     trace = RawTrace(names, array("i", [1000, 5, 1001, 1000]))
     assert index.resolve_stream(trace).tolist() == [0, 2, 1, 0]
     assert sorted(looked_up) == ["n5", "read", "write"]
+
+
+@pytest.mark.parametrize("slots, message", [
+    (("read", "read"), "slot names must be unique"),
+    (("read", "other"), "'other' is reserved for the fallback slot"),
+])
+def test_bad_slot_names_are_refused(slots, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SyscallIndex(slots)
 
 
 def test_resolve_stream_rejects_int_streams():

@@ -526,6 +526,25 @@ def test_detect_jobs_must_be_positive(tmp_path, capsys):
     assert "jobs" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--calls", "10", "--out", "t.trace", "--config", "nope.conf"], "config: file not found: nope.conf"),
+    (["detect", "a.trace", "b.trace", "--model", "m.model", "--report", "r.report"],
+     "report: --report accepts a single input trace"),
+    (["eval", "--report", "a.report", "--report", "b.report", "--labels", "a.labels"],
+     "labels: need exactly one label file per report"),
+    (["gen", "--calls", "10", "--out", "t.trace", "--inject-epochs", "1,,2"],
+     "inject-epochs: expected comma-separated integers, got '1,,2'"),
+    (["gen", "--calls", "10", "--out", "t.trace", "--labels", "t.labels", "--epoch-size", "3"],
+     "calls: must be a multiple of epoch-size when labels are requested"),
+    (["gen", "--calls", "10", "--out", "t.trace", "--alphabet-size", "1025"], "n_names must be at most 1024"),
+])
+def test_refused_runs_name_the_field_and_write_nothing(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"boscids {argv[0]}: error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def _probe(code):
     """What a fresh interpreter with the package on its path prints for code."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
@@ -548,6 +567,15 @@ def test_ingest_runs_without_numpy(tmp_path):
     assert _probe(probe).endswith("\n0 False\n")
     assert trace_out.read_bytes() == (FIXTURES / "mixed.expected.trace").read_bytes()
     assert count_out.read_bytes() == (FIXTURES / "mixed.expected.counts").read_bytes()
+
+
+def test_reading_a_trace_leaves_numpy_unloaded(tmp_path):
+    # count_table imports numpy when called; reading a trace needs none.
+    path = tmp_path / "t.trace"
+    path.write_text("read\nwrite\nread\n")
+    probe = ("import sys; from boscids import trace_ingest as ti; "
+             f"print([len(c.calls) for c in ti.read_trace_chunks({str(path)!r}, 2)], 'numpy' in sys.modules)")
+    assert _probe(probe) == "[2, 1] False\n"
 
 
 def test_package_exports_resolve_to_their_modules_objects():

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from boscids import detector, trainer
 from boscids.bosc import Config
 from boscids.synth import (
+    MAX_ALPHABET,
     NOVEL_SYSCALLS,
     InjectionSpec,
     SourceSpec,
@@ -84,6 +86,39 @@ def test_source_spec_refuses_nan_negative_entries_and_negative_seeds():
 def test_source_spec_validates_names():
     with pytest.raises(ValueError, match="invalid syscall name"):
         SourceSpec(("not a name",), np.array([[1.0]]), 1.0, 0)
+
+
+_INJ = InjectionSpec(frozenset({0}), "novel_names", 0.5)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SourceSpec((), np.zeros((0, 0)), 1.0, 0), "alphabet must not be empty"),
+    (lambda: SourceSpec(("a", "a"), np.full((2, 2), 0.5), 1.0, 0), "alphabet names must be unique"),
+    (lambda: SourceSpec(("a", "b"), np.eye(3), 1.0, 0), "transition matrix must be 2x2"),
+    (lambda: InjectionSpec(frozenset({2, -1}), "novel_names", 0.5), "target epoch indices must be non-negative"),
+    (lambda: make_source(n_names=0), "n_names must be positive"),
+    (lambda: make_source(n_names=MAX_ALPHABET + 1), f"n_names must be at most {MAX_ALPHABET}"),
+    (lambda: make_source(excursion=0.0), r"excursion must be in \(0, 1\)"),
+    (lambda: make_source(excursion=1.0), r"excursion must be in \(0, 1\)"),
+    (lambda: gen_normal(make_source(n_names=8), 0), "total_calls must be positive"),
+    (lambda: gen_anomalous(make_source(n_names=8), 100, _INJ, 0), "epoch_size must be positive"),
+])
+def test_bad_generator_arguments_are_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+def test_an_alphabet_over_the_bound_is_refused_before_any_allocation():
+    # The matrix alone would take 8 * 1025**2 bytes, about 8 MiB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^n_names must be at most {MAX_ALPHABET}$"):
+            make_source(n_names=MAX_ALPHABET + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert len(make_source(n_names=MAX_ALPHABET).alphabet) == MAX_ALPHABET
 
 
 def test_make_source_rows_are_stochastic():

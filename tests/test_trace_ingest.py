@@ -562,14 +562,14 @@ def test_read_trace_chunks_equal_the_whole_read(lines, sizes, size):
     block, max_line = sizes
 
     def chunked(path):
-        names, calls = (), array("i")
+        joined = []
         for chunk in ti.read_trace_chunks(path, size):
-            # Only the last chunk is short, and each chunk's names extend the last's.
-            assert len(calls) % size == 0 and 0 < len(chunk.calls) <= size
-            assert chunk.names[: len(names)] == names
-            names = chunk.names
-            calls.extend(chunk.calls)
-        return ti.RawTrace(names, calls)
+            # Only the last chunk is short, and its codes are exactly
+            # 0..len(names)-1, first appearing in increasing order.
+            assert len(joined) % size == 0 and 0 < len(chunk.calls) <= size
+            assert list(dict.fromkeys(chunk.calls)) == list(range(len(chunk.names)))
+            joined += call_names(chunk)
+        return ti.RawTrace.from_names(joined)
 
     def outcome(read, path):
         try:
@@ -708,6 +708,31 @@ def test_a_long_line_that_starts_a_chunk_fails_at_its_line(tmp_path):
         path.write_bytes(b"read\nwr-ite\n" + b"x" * 11 + b"\n")
         with pytest.raises(ValueError, match="^" + re.escape(f"{path}: line 2: invalid syscall name")):
             list(ti.read_trace_chunks(path, 4))
+
+
+def test_chunks_of_new_names_carry_only_their_own(tmp_path):
+    # Every line a new name: if a chunk listed the names of earlier chunks,
+    # the chunks' names would sum to about calls**2 / (2 * size).
+    path = tmp_path / "t.trace"
+    path.write_bytes(b"".join(b"n%d\n" % i for i in range(1000)))
+    chunks = list(ti.read_trace_chunks(path, 7))
+    assert sum(len(c.names) for c in chunks) == 1000
+    assert sum(map(call_names, chunks), []) == [f"n{i}" for i in range(1000)]
+
+
+def test_each_distinct_name_is_checked_once_per_stream(monkeypatch):
+    real, checked = ti.SYSCALL_NAME_RE, []
+
+    class Counted:
+        def fullmatch(self, name):
+            checked.append(name)
+            return real.fullmatch(name)
+
+    monkeypatch.setattr(ti, "SYSCALL_NAME_RE", Counted())
+    names = ["read", "write", "brk"] * 10 + ["mmap"] + ["read", "brk"] * 5
+    chunks = list(ti.epochs_of(iter(names), 4))
+    assert len(chunks) == 11 and sum(map(call_names, chunks), []) == names
+    assert checked == ["read", "write", "brk", "mmap"]
 
 
 def test_epochs_of_codes_names_an_epoch_at_a_time():
