@@ -2,15 +2,22 @@
 
 A bag (BoSC) is a window's per-slot count vector. Train, detect and the
 model loader all handle bags as bag keys: the window's slots complemented
-(n_s-1-s), sorted descending, written as big-endian uint32 and viewed as one
-np.void of 4*w bytes. Equal bags have equal keys, and ascending byte order of
-keys is ascending lexicographic order of the count vectors, so keys sort and
-unique without being decoded, and the db looks their bytes up in a dict.
-Keys are exact for every n_s < 2**32 and every w. _keys_of is the one place
-a key is coded, for windows and model rows alike, and Bags.counts the one
-place one is decoded. Count vectors appear only at the edges: the model
-file, written from BehaviorDb.chunks() and read back through
-Bags.from_counts, and the pure bag_of reference.
+(n_s-1-s), sorted descending, each written in the narrowest big-endian
+unsigned type that holds n_s-1 (1 byte up to n_s = 256, 2 up to 65,536,
+else 4; _slot_width), and viewed as one np.void of w slots. Equal bags have
+equal keys, and ascending byte order of keys is ascending lexicographic
+order of the count vectors, so keys sort and unique without being decoded,
+and the db looks their bytes up in a dict. Keys are exact for every
+n_s < 2**32 and every w. _keys_of is the one place a key is coded, for
+windows and model rows alike, and Bags.counts the one place one is decoded.
+Count vectors appear only at the edges: the model file, written from
+BehaviorDb.chunks() and read back through Bags.from_counts, and the pure
+bag_of reference.
+
+Memory: the db's keys take entries x w x (1, 2 or 4) bytes, plus the dict's
+overhead per bag. An epoch's scan sorts its S - w + 1 windows as rows of
+2-byte slots (4 above n_s = 65,536) and peaks at about 3 bytes per window
+slot up to n_s = 256, 6 up to 65,536 and 12 above.
 """
 
 import logging
@@ -28,7 +35,7 @@ log = logging.getLogger(__name__)
 BoSC = tuple[int, ...]
 
 CHUNK = 256  # bags converted between keys and count rows (and model lines) at a time
-MAX_WINDOW = MAX_LINE // 4  # so a bag key, 4 bytes a call, is never longer than a model line
+MAX_WINDOW = MAX_LINE // 4  # so a bag key, at most 4 bytes a call, is never longer than the longest model line
 
 
 @dataclass(frozen=True)
@@ -80,13 +87,22 @@ def bag_of(window: Sequence[int], n_s: int) -> BoSC:
     return tuple(counts)
 
 
+def _slot_width(n_s: int) -> int:
+    """Bytes of a key's slot: the narrowest unsigned type that holds n_s - 1."""
+    return 1 if n_s <= 1 << 8 else 2 if n_s <= 1 << 16 else 4
+
+
 def _keys_of(s: np.ndarray, n_s: int) -> np.ndarray:
-    """Bag keys of a writable C-contiguous uint32 (m, w) array whose rows are
-    sorted ascending, coded in place: s is complemented, then big-endian."""
+    """Bag keys of a writable C-contiguous unsigned (m, w) array whose rows
+    are sorted ascending: s is complemented, then written big-endian in
+    _slot_width(n_s) bytes a slot, in place where s already has that width."""
     np.subtract(n_s - 1, s, out=s)
-    if np.little_endian:
+    width = _slot_width(n_s)
+    if s.itemsize != width:
+        s = s.astype(f">u{width}")
+    elif np.little_endian:
         s.byteswap(inplace=True)
-    return s.view(np.dtype((np.void, 4 * s.shape[1]))).ravel()
+    return s.view(np.dtype((np.void, width * s.shape[1]))).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +117,7 @@ class Bags:
 
     @property
     def w(self) -> int:
-        return self.keys.dtype.itemsize // 4
+        return self.keys.dtype.itemsize // _slot_width(self.n_s)
 
     @classmethod
     def from_counts(cls, rows) -> "Bags":
@@ -115,26 +131,33 @@ class Bags:
         if rows.min() < 0 or sums[0] < 1 or (sums != sums[0]).any():
             raise ValueError("bag counts must be non-negative and sum to the same window size")
         m, n_s = rows.shape
-        slots = np.repeat(np.tile(np.arange(n_s, dtype=np.uint32), m), rows.ravel()).reshape(m, int(sums[0]))
+        alphabet = np.arange(n_s, dtype=f"u{_slot_width(n_s)}")  # so _keys_of codes the slots in place
+        slots = np.repeat(np.tile(alphabet, m), rows.ravel()).reshape(m, int(sums[0]))
         return cls(_keys_of(slots, n_s), n_s)
 
     def counts(self) -> np.ndarray:
         """Decode to the (len, n_s) count matrix, one row per key."""
         m, n_s = len(self), self.n_s
-        slots = n_s - 1 - self.keys.view(">u4").reshape(m, self.w).astype(np.int64)
+        slots = n_s - 1 - self.keys.view(f">u{_slot_width(n_s)}").reshape(m, self.w).astype(np.int64)
         flat = (slots + np.arange(m, dtype=np.int64)[:, None] * n_s).ravel()
         return np.bincount(flat, minlength=m * n_s).reshape(m, n_s)
 
 
 def unique_window_bags(slots, w: int, n_s: int) -> tuple[Bags, np.ndarray]:
     """Distinct window bags of one epoch, ascending, plus multiplicities."""
+    if w < 1:
+        raise ValueError("window size must be a positive integer")
     arr = np.asarray(slots, dtype=np.int64)
     if arr.shape[0] < w:
-        return Bags(np.zeros(0, dtype=np.dtype((np.void, 4 * w))), n_s), np.zeros(0, dtype=np.int64)
+        empty = np.zeros(0, dtype=np.dtype((np.void, _slot_width(n_s) * w)))
+        return Bags(empty, n_s), np.zeros(0, dtype=np.int64)
     if arr.min() < 0 or arr.max() >= n_s:
         raise ValueError(f"slot out of range for n_s={n_s}")
-    s = np.sort(np.lib.stride_tricks.sliding_window_view(arr.astype(np.uint32), w), axis=1)
-    keys, counts = np.unique(_keys_of(s, n_s), return_counts=True)
+    # Rows sort in uint16 (numpy sorts uint8 rows without SIMD, several times
+    # slower) and go straight to _keys_of, which narrows them where n_s <= 256,
+    # so they are freed before np.unique copies the keys.
+    rows = np.lib.stride_tricks.sliding_window_view(arr.astype(np.uint16 if n_s <= 1 << 16 else np.uint32), w)
+    keys, counts = np.unique(_keys_of(np.sort(rows, axis=1), n_s), return_counts=True)
     return Bags(keys, n_s), counts
 
 
@@ -200,7 +223,7 @@ class BehaviorDb:
             self._n_s, self._dtype = bags.n_s, bags.keys.dtype
         elif (bags.n_s, bags.keys.dtype) != (self._n_s, self._dtype):
             raise ValueError(f"bags over n_s={bags.n_s}, w={bags.w} do not fit a db of "
-                             f"n_s={self._n_s}, w={self._dtype.itemsize // 4}")
+                             f"n_s={self._n_s}, w={self._dtype.itemsize // _slot_width(self._n_s)}")
         keys = bags.keys.tolist()
         new = dict.fromkeys(filterfalse(self._pos.__contains__, keys))
         self._freq.frombytes(bytes(8 * len(new)))  # their zero frequencies

@@ -39,7 +39,7 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, count, islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -54,7 +54,9 @@ _NAME_BEFORE_PAREN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\(\Z")
 # pid prefix parse_line removes, then the name and the first `(`.
 _CALL_RE = re.compile(r"[ \t]*(?:\[pid +[0-9]+\] *|[0-9]+ +)?([A-Za-z_][A-Za-z0-9_]*)\(")
 
-BLOCK = 1 << 16  # characters (latin-1 bytes) of a file read at a time
+# Characters (latin-1 bytes) of a file read at a time. A reader holds one
+# block's line strings; 64 KiB blocks held four times as many and read no faster.
+BLOCK = 1 << 14
 MAX_LINE = 1 << 20  # bytes of a line kept
 
 
@@ -109,18 +111,29 @@ class RawTrace:
 
     def split(self, size: int) -> Iterator["RawTrace"]:
         """The trace size calls at a time, each chunk sharing these names."""
-        for lo in range(0, len(self.calls), size):
-            yield RawTrace(self.names, self.calls[lo : lo + size])
+        step = _chunk_limit(size)
+        for lo in range(0, len(self.calls), step):
+            yield RawTrace(self.names, self.calls[lo : lo + step])
 
     def file_chunks(self) -> Iterator[bytes]:
         """The trace file's content, a chunk of calls at a time: one name
         per call, LF-terminated."""
         lines = [f"{n}\n".encode("ascii") for n in self.names]
-        # bytes.join holds an 80-byte buffer per item: 4,096 calls at the
-        # default BLOCK keep that near 320 KiB.
+        # bytes.join holds an 80-byte buffer per item: 1,024 calls at the
+        # default BLOCK keep that near 80 KiB.
         step = max(1, BLOCK // 16)
         for start in range(0, len(self.calls), step):
             yield b"".join(map(lines.__getitem__, self.calls[start : start + step]))
+
+
+def _chunk_limit(size: int | None) -> int:
+    """The calls a chunk of size calls holds, every call when size is None;
+    a size below 1 raises ValueError."""
+    if size is None:
+        return sys.maxsize
+    if size < 1:
+        raise ValueError(f"size must be a positive integer, got {size}")
+    return size
 
 
 def _coded(items: Iterator, size: int | None) -> Iterator[RawTrace]:
@@ -132,13 +145,14 @@ def _coded(items: Iterator, size: int | None) -> Iterator[RawTrace]:
     checked once per stream, before the chunk it first appears in is
     yielded; an item that is not a valid name raises SyscallNameError at its
     position in items. Items after the last chunk yielded are not pulled."""
-    limit = size or sys.maxsize
+    limit = _chunk_limit(size)
     checked: set = set()  # names of earlier chunks, all valid
     done = 0  # calls in earlier chunks
     while True:
-        # A new name's code is the dict's size when first seen; map loops in C.
-        code_of = defaultdict()
-        code_of.default_factory = code_of.__len__
+        # A new name's code is the count of names seen before it; map loops
+        # in C. (A factory bound to the dict itself would make a cycle that
+        # keeps each chunk's names alive until the garbage collector runs.)
+        code_of = defaultdict(count().__next__)
         codes = map(code_of.__getitem__, items)
         calls = array("i")
         # Lists of up to 4,096 codes: the array grows once per list, not per call.
@@ -375,7 +389,9 @@ def epochs_of(trace, size: int) -> Iterator[RawTrace]:
     """A trace as chunks of size calls, only the last shorter. trace is a
     RawTrace, syscall names, coded a chunk at a time by _coded, or the
     RawTrace chunks of one stream, such as read_trace_chunks(path, size)
-    yields; chunks are checked lazily to hold size calls each but the last."""
+    yields; chunks are checked lazily to hold size calls each but the last.
+    A size below 1 raises ValueError before trace is read."""
+    limit = _chunk_limit(size)
     if isinstance(trace, RawTrace):
         yield from trace.split(size)
         return
@@ -384,9 +400,9 @@ def epochs_of(trace, size: int) -> Iterator[RawTrace]:
         if not isinstance(first, RawTrace):
             yield from _coded(chain([first], items), size)
             return
-        last = size
+        last = limit
         for chunk in chain([first], items):
-            if last < size or len(chunk.calls) > size:
+            if last < limit or len(chunk.calls) > limit:
                 raise ValueError(f"chunks must hold {size} calls each, only the last fewer")
             last = len(chunk.calls)
             yield chunk

@@ -93,9 +93,11 @@ def trace_text(names):
 
 def reference_keys(rows, n_s):
     """Bag keys of (m, w) slot rows sorted ascending, coded through a new
-    big-endian copy of the complements."""
-    c = np.ascontiguousarray(n_s - 1 - np.asarray(rows, dtype=np.int64), dtype=">u4")
-    return c.view(np.dtype((np.void, 4 * c.shape[1]))).ravel()
+    big-endian copy of the complements, 1, 2 or 4 bytes a slot as n_s - 1
+    fits in 8, 16 or 32 bits."""
+    width = next(b for b in (1, 2, 4) if n_s - 1 < 2 ** (8 * b))
+    c = np.ascontiguousarray(n_s - 1 - np.asarray(rows, dtype=np.int64), dtype=f">u{width}")
+    return c.view(np.dtype((np.void, width * c.shape[1]))).ravel()
 
 
 def brute_force_bag(window, n_s):

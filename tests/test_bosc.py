@@ -2,6 +2,7 @@ import gc
 import random
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from boscids.bosc import (
     epoch_windows,
     unique_window_bags,
 )
+from boscids.trace_ingest import RawTrace, epochs_of, read_trace_chunks
 from helpers import (
     brute_force_db,
     brute_force_epoch_bags,
@@ -26,6 +28,8 @@ from helpers import (
     reference_keys,
     unique_bags,
 )
+
+_TRACE = Path(__file__).parent / "fixtures" / "mixed.expected.trace"
 
 
 def test_config_defaults():
@@ -135,9 +139,10 @@ def test_db_insertion_order_is_first_insertion():
     insert_counts(db, [(1, 0)])
     insert_counts(db, [(0, 1)])
     assert bags_in_order(db) == [(0, 1), (1, 0)]
-    # A key of NUL bytes only: every slot is the last one, whose complement is 0.
+    # A key of NUL bytes only: every slot is the last one, whose complement
+    # is 0, one byte a slot at n_s=3.
     nul = Bags.from_counts([[0, 0, 3]])
-    assert nul.keys.tobytes() == bytes(12)
+    assert nul.keys.tobytes() == bytes(3)
     db = BehaviorDb()
     insert_counts(db, [(1, 2, 0)])
     db.insert_many(nul, [2])
@@ -356,6 +361,33 @@ def test_bag_keys_decode_to_brute_force_bags(case):
         assert Bags.from_counts([bag for bag, _ in expected]).keys.tobytes() == bags.keys.tobytes()
 
 
+@st.composite
+def streams_at_a_width_bound(draw):
+    # Alphabets on either side of each key width's top (1 byte a slot up to
+    # n_s=256, 2 up to 65,536, then 4), with slots near both ends of the range.
+    n_s = draw(st.sampled_from([255, 256, 257, 65_535, 65_536, 65_537]))
+    w = draw(st.integers(1, 6))
+    slot = st.one_of(st.sampled_from([0, 1, 255, 256, n_s - 2, n_s - 1]).filter(lambda s: s < n_s),
+                     st.integers(0, n_s - 1))
+    return n_s, w, draw(st.lists(slot, min_size=w, max_size=w + 24))
+
+
+@settings(max_examples=60, deadline=None)
+@given(streams_at_a_width_bound())
+def test_bag_keys_at_each_width_bound_equal_brute_force_bags(case):
+    n_s, w, stream = case
+    bags, mult = unique_window_bags(stream, w, n_s)
+    expected = sorted(Counter(brute_force_epoch_bags(stream, w, n_s)).items())
+    got = decoded(bags)
+    assert list(zip(got, mult.tolist())) == expected
+    # Ascending key bytes are ascending count vectors, both strictly.
+    key_bytes = [k.tobytes() for k in bags.keys]
+    assert key_bytes == sorted(set(key_bytes)) and got == sorted(set(got))
+    win = np.sort(np.lib.stride_tricks.sliding_window_view(np.array(stream), w), axis=1)
+    assert bags.keys.tobytes() == np.unique(reference_keys(win, n_s)).tobytes()
+    assert bags.w == w and Bags.from_counts(bags.counts()).keys.tobytes() == bags.keys.tobytes()
+
+
 def test_incremental_db_equals_brute_force_recount():
     rng = random.Random(31)
     for _ in range(10):
@@ -378,6 +410,17 @@ def test_incremental_db_equals_brute_force_recount():
     (lambda: Bags.from_counts([[1, 0], [1, 1]]), "bag counts must be non-negative and sum to the same window size"),
     (lambda: Bags.from_counts([[0, 0]]), "bag counts must be non-negative and sum to the same window size"),
     (lambda: list(epoch_windows([1, 2], 0)), "window size must be a positive integer"),
+    (lambda: unique_window_bags([1, 2], 0, 3), "window size must be a positive integer"),
+    (lambda: unique_window_bags([1, 2], -1, 3), "window size must be a positive integer"),
+    # A chunk of calls below one, however the calls come.
+    (lambda: list(read_trace_chunks(_TRACE, 0)), "size must be a positive integer, got 0"),
+    (lambda: list(read_trace_chunks(_TRACE, -1)), "size must be a positive integer, got -1"),
+    (lambda: list(epochs_of(["read", "write"], 0)), "size must be a positive integer, got 0"),
+    (lambda: list(epochs_of(["read", "write"], -3)), "size must be a positive integer, got -3"),
+    (lambda: list(epochs_of(RawTrace.from_names(["read"]), 0)), "size must be a positive integer, got 0"),
+    (lambda: list(epochs_of(RawTrace.from_names(["read"]).split(1), 0)), "size must be a positive integer, got 0"),
+    (lambda: list(RawTrace.from_names(["read"]).split(0)), "size must be a positive integer, got 0"),
+    (lambda: list(RawTrace.from_names(["read"]).split(-1)), "size must be a positive integer, got -1"),
 ])
 def test_bad_bags_and_windows_are_refused(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

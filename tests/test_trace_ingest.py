@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import re
 import tempfile
@@ -649,6 +650,25 @@ def test_ingest_and_read_memory_is_bounded_by_the_calls(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < 2 * memoryview(trace.calls).nbytes + 2 * 2**20, (path.name, peak)
+
+
+@pytest.mark.parametrize("n_names, bound", [(3, 2**19), (676, 2**20)])
+def test_a_trace_read_in_chunks_holds_one_piece_of_lines(tmp_path, n_names, bound):
+    # 40,000 two-byte names, 1,000 calls a chunk: the reader holds the line
+    # strings of one BLOCK-character piece, about 5,500 of them here (a
+    # 64 KiB piece peaked at 1.5 MB), and a chunk's names go with the chunk,
+    # however many distinct names each chunk has.
+    names = [b"%c%c" % (97 + i % 26, 97 + i // 26) for i in range(n_names)]
+    path = tmp_path / "t.trace"
+    path.write_bytes(b"".join(names[i % n_names] + b"\n" for i in range(40_000)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        n_calls = sum(len(chunk.calls) for chunk in ti.read_trace_chunks(path, 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n_calls == 40_000 and peak < bound, peak
 
 
 def test_a_line_with_no_end_is_read_in_bounded_memory(tmp_path):
