@@ -55,7 +55,7 @@ _NAME_BEFORE_PAREN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\(\Z")
 _CALL_RE = re.compile(r"[ \t]*(?:\[pid +[0-9]+\] *|[0-9]+ +)?([A-Za-z_][A-Za-z0-9_]*)\(")
 
 # Characters (latin-1 bytes) of a file read at a time. A reader holds one
-# block's line strings; 64 KiB blocks held four times as many and read no faster.
+# block's line strings, and larger blocks (64 KiB measured) read no faster.
 BLOCK = 1 << 14
 MAX_LINE = 1 << 20  # bytes of a line kept
 
