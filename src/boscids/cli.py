@@ -288,6 +288,12 @@ def _cmd_eval(args) -> int:
 
     if len(args.report) != len(args.labels):
         raise CliError("labels: need exactly one label file per report")
+    named: dict[str, str] = {}  # the file each report names -> the first path naming it
+    for rpath in args.report:
+        target = os.path.realpath(rpath)
+        if target in named:
+            raise CliError(f"reports {named[target]} and {rpath} name the same file")
+        named[target] = rpath
     reports = {}
     pairs = []
     # Keyed by the path as given: reports in two directories may share a stem.

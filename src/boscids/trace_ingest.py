@@ -70,13 +70,11 @@ class RawTraceLine:
     name: str | None = None
 
 
-def quoted(text: str, limit: int = 40, length: int | None = None) -> str:
+def quoted(text: str, limit: int = 40) -> str:
     """repr of text, non-ASCII escaped; a longer text shows its first limit
-    characters and its length. length, when given, is the length of a text
-    whose start text is."""
-    n = len(text) if length is None else length
+    characters and its length."""
     shown = repr(text[:limit].encode("ascii", "backslashreplace").decode("ascii"))
-    return shown if n <= limit else f"{shown}... ({n} characters)"
+    return shown if len(text) <= limit else f"{shown}... ({len(text)} characters)"
 
 
 class SyscallNameError(ValueError):

@@ -193,21 +193,18 @@ class _Unreadable(ModelFormatError):
 
 
 _TRAILER_RE = re.compile(rb"crc32=[0-9a-f]{8}\n")  # exactly as save_model writes it
-_SHOWN = 40  # characters of a bad trailer quoted in its error
 
 
 class _LineReader:
     """The LF-terminated lines of model file f, read once from its start. take()
-    and next() hand out all but its last line, the trailer's place; next() keeps
-    each (section, line) it reads in got. Reads are checked as a check of the
-    whole text would: version and line cap at once, the rest in finish()."""
+    and next() hand out all but its last line, the trailer; next() keeps each
+    (section, line) it reads in got. Reads are checked as a check of the whole
+    text would: version and line cap at once, the rest in finish()."""
 
     def __init__(self, f):
         self._f = f
         self.got: list[tuple[str, str]] = []
         self._lines = self._size = self._crc = 0  # lines and bytes read; crc32 of the lines handed out
-        # The last marker read: its offset, whether it starts a line, its first _SHOWN bytes.
-        self._marker, self._after_lf, self._shown = -1, False, b""
         self._non_ascii = -1  # offset of the first byte above 127
         self._last = b""  # the file's last line, once read
 
@@ -228,12 +225,6 @@ class _LineReader:
             self._last = lines[-1]
         if self._non_ascii < 0 and not block.isascii():
             self._non_ascii = self._size + re.search(rb"[\x80-\xff]", block).start()
-        i = block.rfind(b"crc32=")  # whole lines, so a marker is never split
-        if i >= 0:
-            self._marker, self._after_lf = self._size + i, i == 0 or block[i - 1] == 10
-            self._shown = block[i : i + _SHOWN]
-        elif self._marker >= 0:
-            self._shown += block[: _SHOWN - len(self._shown)]
         self._size += len(block)
         body = block[: len(block) - len(self._last)]  # never the last line; blocks after it are empty
         self._crc = zlib.crc32(body, self._crc)
@@ -265,14 +256,12 @@ class _LineReader:
 
     def finish(self) -> None:
         """Read the rest of the file a line at a time, then make the trailer,
-        checksum and ASCII checks, in that order."""
+        checksum and ASCII checks, in that order: the last line must be the
+        trailer save_model writes, crc32 of all the lines before it."""
         while self.take(1):
             pass
-        if self._marker < 0 or not self._after_lf:
-            raise ModelFormatError("checksum", "missing crc32 trailer")
         if _TRAILER_RE.fullmatch(self._last) is None:
-            trailer = quoted(self._shown.decode("latin-1"), _SHOWN, length=self._size - self._marker)
-            raise ModelFormatError("checksum", f"unparseable trailer {trailer}")
+            raise ModelFormatError("checksum", f"last line {quoted(self._last.decode('latin-1'))} is not the crc32 trailer")
         if self._crc != int(self._last[6:14], 16):
             raise ModelFormatError("checksum", "crc32 mismatch; file corrupted")
         if self._non_ascii >= 0:

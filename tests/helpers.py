@@ -226,13 +226,11 @@ def whole_file_checks(data):
     for i, line in enumerate(data.split(b"\n"), start=1):
         if len(line) > MAX_LINE:
             raise ModelFormatError("structure", f"line {i}: longer than {MAX_LINE} bytes")
-    marker = data.rfind(b"crc32=")
-    if marker < 0 or (marker > 0 and data[marker - 1 : marker] != b"\n"):
-        raise ModelFormatError("checksum", "missing crc32 trailer")
-    trailer = data[marker:]
+    last = data.rfind(b"\n", 0, len(data) - 1) + 1  # where the last line starts
+    trailer = data[last:]
     if re.fullmatch(rb"crc32=[0-9a-f]{8}\n", trailer) is None:
-        raise ModelFormatError("checksum", f"unparseable trailer {quoted(trailer.decode('latin-1'))}")
-    if zlib.crc32(data[:marker]) != int(trailer[6:14], 16):
+        raise ModelFormatError("checksum", f"last line {quoted(trailer.decode('latin-1'))} is not the crc32 trailer")
+    if zlib.crc32(data[:last]) != int(trailer[6:14], 16):
         raise ModelFormatError("checksum", "crc32 mismatch; file corrupted")
     if not data.isascii():
         offset = int(np.argmax(np.frombuffer(data, dtype=np.uint8) > 127))

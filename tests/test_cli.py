@@ -252,6 +252,21 @@ def test_eval_pairs_reports_sharing_a_stem_with_their_own_labels(tmp_path, capsy
     assert out.startswith("granularity=epoch tp=2 fp=0 malicious=2 normal=4 tpr=1.000000 fpr=0.000000\n")
 
 
+def test_eval_refuses_one_report_named_twice(tmp_path, capsys, monkeypatch):
+    # Named once it scores tp=1 fp=2; named twice it would count every epoch twice.
+    monkeypatch.chdir(tmp_path)
+    Path("s.report").write_text("0 9 0 1.0 0\n1 9 8 1.0 1\n2 9 7 1.0 1\n3 9 6 1.0 1\n4 9 0 1.0 0\n"
+                                "total epochs=5 windows=45 mismatches=21 anomalous_epochs=3 trace_anomalous=1\n")
+    write_labels(["normal", "malicious", "normal", "normal", "normal"], Path("s.labels"))
+    code, out, _ = run(capsys, "eval", "--report", "s.report", "--labels", "s.labels")
+    assert code == 0
+    assert out.startswith("granularity=epoch tp=1 fp=2 malicious=1 normal=4 ")
+    for a, b in (("s.report", "./s.report"), ("s.report", "s.report")):
+        code, out, err = run(capsys, "eval", "--report", a, "--labels", "s.labels", "--report", b, "--labels", "s.labels")
+        assert (code, out) == (1, "")
+        assert err == f"boscids eval: error: reports {a} and {b} name the same file\n"
+
+
 def test_detect_fraction_override_flag(tmp_path, capsys):
     trace = tmp_path / "ab.trace"
     write_ab_trace(trace)
@@ -581,6 +596,7 @@ def test_reading_a_trace_leaves_numpy_unloaded(tmp_path):
 def test_package_exports_resolve_to_their_modules_objects():
     for name, module in boscids._EXPORTS.items():
         assert getattr(boscids, name) is getattr(importlib.import_module(f"boscids.{module}"), name)
+    assert set(boscids._EXPORTS) <= set(dir(boscids))
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         boscids.nope
 

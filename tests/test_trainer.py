@@ -103,6 +103,15 @@ def test_train_ab_micro_fixture_stops_after_epoch_3():
     assert model.history == [1.0, 1.0]  # epochs 2 and 3
 
 
+def test_train_without_a_config_uses_the_default_config():
+    rng = random.Random(11)
+    names = [rng.choice("abcdefgh") for _ in range(3 * Config().epoch_size)]
+    default, explicit = train(names), train(names, config=Config())
+    assert default.config == explicit.config == Config()
+    assert default.history == explicit.history
+    assert list(default.db.items()) == list(explicit.db.items())
+
+
 def test_train_history_length_invariant():
     cfg = Config(window_size=2, epoch_size=4, train_threshold=0.99)
     model = train(ab_trace(5), config=cfg)
@@ -251,13 +260,15 @@ def test_load_detects_tampering(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "spelling",
-    ["crc32={:08X}\n", "crc32={:#010x}  \n\n", "crc32={:08x}", "crc32=+00{:08x}\t"],
-    ids=["upper-case", "0x-and-blanks", "no-final-lf", "sign-and-tab"],
+    "spelling, last",
+    [("crc32={:08X}\n", None), ("crc32={:#010x}  \n\n", "\n"), ("crc32={:08x}", None),
+     ("crc32=+00{:08x}\t", None), ("crc32={:08x}\nextra\n", "extra\n")],
+    ids=["upper-case", "0x-and-blanks", "no-final-lf", "sign-and-tab", "line-after-trailer"],
 )
-def test_load_accepts_only_the_trailer_save_writes(tmp_path, spelling):
-    # Each spells the right crc32, and was accepted before; saving the loaded
-    # model then gave other bytes.
+def test_load_accepts_only_the_trailer_save_writes(tmp_path, spelling, last):
+    # Each spells the right crc32, and the first four were accepted once;
+    # saving the loaded model then gave other bytes. The error quotes the
+    # file's last line (None: the whole respelt trailer).
     p = tmp_path / "m.model"
     save_model(model_fixture(), p)
     body = p.read_bytes()[: p.read_bytes().rfind(b"crc32=")]
@@ -265,7 +276,7 @@ def test_load_accepts_only_the_trailer_save_writes(tmp_path, spelling):
     p.write_bytes(body + trailer.encode("ascii"))
     with pytest.raises(ModelFormatError) as exc:
         load_model(p)
-    assert str(exc.value) == f"checksum: unparseable trailer {trailer!r}"
+    assert str(exc.value) == f"checksum: last line {last or trailer!r} is not the crc32 trailer"
 
 
 def test_load_detects_truncation(tmp_path):
@@ -274,8 +285,10 @@ def test_load_detects_truncation(tmp_path):
     save_model(model, p)
     data = p.read_bytes()
     p.write_bytes(data[: len(data) // 2])
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ModelFormatError) as exc:
         load_model(p)
+    # The cut leaves "e" of "entries=1" as the last line.
+    assert (exc.value.section, str(exc.value)) == ("checksum", "checksum: last line 'e' is not the crc32 trailer")
 
 
 def reseal(path, old: bytes, new: bytes):
