@@ -17,7 +17,8 @@ bag_of reference.
 Memory: the db's keys take entries x w x (1, 2 or 4) bytes, plus the dict's
 overhead per bag. An epoch's scan sorts its S - w + 1 windows as rows of
 2-byte slots (4 above n_s = 65,536) and peaks at about 3 bytes per window
-slot up to n_s = 256, 6 up to 65,536 and 12 above.
+slot up to n_s = 256, 6 up to 65,536 and 12 above; Config bounds the window
+slots of an epoch by MAX_EPOCH_SLOTS.
 """
 
 import logging
@@ -36,6 +37,9 @@ BoSC = tuple[int, ...]
 
 CHUNK = 256  # bags converted between keys and count rows (and model lines) at a time
 MAX_WINDOW = MAX_LINE // 4  # so a bag key, at most 4 bytes a call, is never longer than the longest model line
+# Window slots an epoch may hold, (S - w + 1) x w: an epoch's scan sorts them
+# as rows of uint16, which take 256 MiB at this bound.
+MAX_EPOCH_SLOTS = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,10 @@ class Config:
             raise ValueError(f"window_size must be at most {MAX_WINDOW}")
         if self.epoch_size < self.window_size:
             raise ValueError("epoch_size must be >= window_size")
+        slots = (self.epoch_size - self.window_size + 1) * self.window_size
+        if slots > MAX_EPOCH_SLOTS:
+            raise ValueError(f"epoch_size {self.epoch_size} at window_size {self.window_size} gives "
+                             f"{slots} window slots an epoch, more than {MAX_EPOCH_SLOTS}")
         if not 0.0 < self.train_threshold <= 1.0:
             raise ValueError("train_threshold must be in (0, 1]")
         if not 0.0 < self.detect_threshold_fraction <= 1.0:

@@ -92,7 +92,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--counts", metavar="PATH",
                    help="count file from ingest; the trace is then read an epoch at a time, "
                         "and not past the epoch where training converges "
-                        "(default: recomputed from the whole trace)")
+                        "(default: counted in a first pass over the whole trace)")
     p.add_argument("--window", type=int, default=10, metavar="W",
                    help="sliding window size in calls (default: 10)")
     p.add_argument("--epoch-size", type=int, default=5000, metavar="S",
@@ -227,11 +227,14 @@ def _cmd_train(args) -> int:
     )
     if args.counts:
         counts = trace_ingest.read_count_file(args.counts)
-        # Epochs are read as training pulls them, and none after it converges.
-        with closing(trace_ingest.read_trace_chunks(args.trace, config.epoch_size)) as epochs:
-            model = trainer.train(epochs, counts=counts, config=config)
-    else:  # counting needs the whole trace
-        model = trainer.train(trace_ingest.read_trace_file(args.trace), config=config)
+    else:  # a counting pass over the whole file, then the training pass
+        trace = Path(args.trace)
+        if trace.exists() and not trace.is_file():  # a pipe would block or read empty the second time
+            raise CliError(f"trace: {trace} is not a regular file; train reads it twice, or once with --counts")
+        counts = trace_ingest.count_table(trace_ingest.read_trace_chunks(trace, config.epoch_size))
+    # Epochs are read as training pulls them, and none after it converges.
+    with closing(trace_ingest.read_trace_chunks(args.trace, config.epoch_size)) as epochs:
+        model = trainer.train(epochs, counts=counts, config=config)
     for k, cos in enumerate(model.history, start=2):
         print(f"epoch {k} cos={cos:.9f}")
     with _written_whole(Path(args.model)) as (model_new,):

@@ -326,13 +326,17 @@ def ingest_file_to(path, trace_out) -> tuple[str, CountTable]:
     return _source_meta(p.name, tally), CountTable.from_counts(counts)
 
 
-def count_table(trace: RawTrace | Iterable[str]) -> CountTable:
-    """Count each name's calls; names no call uses are left out."""
+def count_table(trace) -> CountTable:
+    """Count each name's calls; names no call uses are left out. trace is a
+    RawTrace, syscall names, or the RawTrace chunks of one stream (see
+    epochs_of), which is read once, a chunk at a time."""
     import numpy as np  # here, so that importing this module loads no numpy
 
-    trace = RawTrace.from_names(trace)
-    counts = np.bincount(np.frombuffer(trace.calls, np.int32), minlength=len(trace.names))
-    return CountTable.from_counts({n: c for n, c in zip(trace.names, counts.tolist()) if c})
+    counts: Counter = Counter()
+    for chunk in epochs_of(trace, None):
+        n = np.bincount(np.frombuffer(chunk.calls, np.int32), minlength=len(chunk.names))
+        counts.update(dict(zip(chunk.names, n.tolist())))
+    return CountTable.from_counts({n: c for n, c in counts.items() if c})
 
 
 def write_trace_file(trace: RawTrace, path) -> None:
@@ -383,15 +387,17 @@ def read_trace_file(path) -> RawTrace:
     return trace
 
 
-def epochs_of(trace, size: int) -> Iterator[RawTrace]:
+def epochs_of(trace, size: int | None) -> Iterator[RawTrace]:
     """A trace as chunks of size calls, only the last shorter. trace is a
     RawTrace, syscall names, coded a chunk at a time by _coded, or the
     RawTrace chunks of one stream, such as read_trace_chunks(path, size)
     yields; chunks are checked lazily to hold size calls each but the last.
-    A size below 1 raises ValueError before trace is read."""
+    When size is None, a RawTrace is its own one chunk, names are coded in
+    one chunk, and a stream's chunks pass through unchecked. A size below 1
+    raises ValueError before trace is read."""
     limit = _chunk_limit(size)
     if isinstance(trace, RawTrace):
-        yield from trace.split(size)
+        yield from trace.split(size) if size is not None else [trace]
         return
     items = iter(trace)
     for first in items:  # the first item tells chunks from names
@@ -400,7 +406,7 @@ def epochs_of(trace, size: int) -> Iterator[RawTrace]:
             return
         last = limit
         for chunk in chain([first], items):
-            if last < limit or len(chunk.calls) > limit:
+            if size is not None and (last < limit or len(chunk.calls) > limit):
                 raise ValueError(f"chunks must hold {size} calls each, only the last fewer")
             last = len(chunk.calls)
             yield chunk

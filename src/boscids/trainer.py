@@ -86,7 +86,12 @@ def train(trace, counts: CountTable | None = None, config: Config | None = None)
     if config is None:
         config = Config()
     if counts is None:  # counting needs the whole trace
-        trace = RawTrace.from_names(trace)
+        if not isinstance(trace, RawTrace):
+            items = iter(trace)
+            head = list(itertools.islice(items, 1))
+            if head and isinstance(head[0], RawTrace):  # a stream, which is read once
+                raise ValueError("training on a stream of chunks needs its counts")
+            trace = RawTrace.from_names(itertools.chain(head, items))
         counts = count_table(trace)
     index = build_index(counts)
     S = config.epoch_size

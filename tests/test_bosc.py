@@ -14,6 +14,7 @@ from boscids.bosc import (
     BehaviorDb,
     Config,
     FrozenDbError,
+    MAX_EPOCH_SLOTS,
     MAX_WINDOW,
     bag_of,
     epoch_windows,
@@ -54,6 +55,14 @@ def test_config_defaults():
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         Config(**kwargs)
+
+
+def test_config_bounds_the_window_slots_of_an_epoch():
+    # (S - w + 1) x w slots: exactly 2**27 at w = 2**13, S = 2**14 + 2**13 - 1.
+    Config(window_size=2**13, epoch_size=2**14 + 2**13 - 1)
+    with pytest.raises(ValueError, match="^epoch_size 24576 at window_size 8192 gives 134225920 "
+                                         f"window slots an epoch, more than {MAX_EPOCH_SLOTS}$"):
+        Config(window_size=2**13, epoch_size=2**14 + 2**13)
 
 
 def test_epoch_windows_count_at_default_epoch_size():

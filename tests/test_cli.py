@@ -552,6 +552,8 @@ def test_detect_jobs_must_be_positive(tmp_path, capsys):
     (["gen", "--calls", "10", "--out", "t.trace", "--labels", "t.labels", "--epoch-size", "3"],
      "calls: must be a multiple of epoch-size when labels are requested"),
     (["gen", "--calls", "10", "--out", "t.trace", "--alphabet-size", "1025"], "n_names must be at most 1024"),
+    (["train", "t.trace", "--model", "m.model", "--window", "50000", "--epoch-size", "100000"],
+     "epoch_size 100000 at window_size 50000 gives 2500050000 window slots an epoch, more than 134217728"),
 ])
 def test_refused_runs_name_the_field_and_write_nothing(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -650,9 +652,9 @@ def _cycle_trace(path, epochs, S=5000):
 
 
 def test_train_counts_and_detect_memory_is_flat_in_trace_length(tmp_path):
-    # Both hold one epoch at a time: 40 epochs of 5,000 calls peak within
-    # 64 KiB of 4 epochs, where a whole trace of int32 codes and int64 slots
-    # would add about 2 MiB.
+    # All hold one epoch at a time, train without --counts in its counting
+    # pass too: 40 epochs of 5,000 calls peak within 64 KiB of 4 epochs,
+    # where a whole trace of int32 codes and int64 slots would add about 2 MiB.
     counts = tmp_path / "t.counts"
     counts.write_text("".join(f"syscall_number_{i}\t1000\n" for i in range(8)))
     peaks = {}
@@ -661,11 +663,27 @@ def test_train_counts_and_detect_memory_is_flat_in_trace_length(tmp_path):
         _cycle_trace(trace, epochs)
         code, peaks["train", epochs] = _traced_peak(["train", trace, "--counts", counts, "--model", model])
         assert code == 0  # converged at epoch 3
+        code, peaks["train, counting", epochs] = _traced_peak(["train", trace, "--model", model])
+        assert code == 0
         code, peaks["detect", epochs] = _traced_peak(["detect", trace, "--model", tmp_path / "4.model",
                                                        "--report", tmp_path / "r"])
         assert code == 0
-    for cmd in ("train", "detect"):
+    for cmd in ("train", "train, counting", "detect"):
         assert peaks[cmd, 40] < peaks[cmd, 4] + 64 * 1024, peaks
+
+
+def test_train_without_counts_refuses_a_pipe_before_reading_it(tmp_path):
+    # The counting pass and the training pass each open the trace, and a
+    # pipe's second open would block. Run apart, so a blocked open times out.
+    fifo, model = tmp_path / "t.trace", tmp_path / "m.model"
+    os.mkfifo(fifo)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-m", "boscids.cli", "train", str(fifo), "--model", str(model)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (f"boscids train: error: trace: {fifo} is not a regular file; "
+                           "train reads it twice, or once with --counts\n")
+    assert [f.name for f in tmp_path.iterdir()] == ["t.trace"]
 
 
 def test_ingest_memory_is_flat_in_capture_length(tmp_path):

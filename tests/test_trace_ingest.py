@@ -362,10 +362,10 @@ def coded_traces(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(coded_traces())
-@example(_coded_case(["read"], [], ["read"]))  # empty trace, unused name
-@example(_coded_case(["read", "write", "brk"], [1] * 250 + [0] * 3, ["write"]))  # heavy repeats
-def test_coded_trace_paths_equal_name_by_name_oracles(case):
+@given(coded_traces(), st.integers(1, 9))
+@example(_coded_case(["read"], [], ["read"]), 1)  # empty trace, unused name
+@example(_coded_case(["read", "write", "brk"], [1] * 250 + [0] * 3, ["write"]), 4)  # heavy repeats
+def test_coded_trace_paths_equal_name_by_name_oracles(case, size):
     trace, names, index = case
     for t in (trace, ti.RawTrace.from_names(names)):
         assert ti.count_table(t).entries == counter_table_entries(names)
@@ -375,6 +375,7 @@ def test_coded_trace_paths_equal_name_by_name_oracles(case):
             ti.write_trace_file(t, path)
             assert path.read_bytes() == trace_text(names)
             assert call_names(ti.read_trace_file(path)) == names
+            assert ti.count_table(ti.read_trace_chunks(path, size)).entries == counter_table_entries(names)
 
 
 @settings(max_examples=80, deadline=None)
