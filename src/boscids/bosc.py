@@ -6,26 +6,26 @@ model loader all handle bags as bag keys: the window's slots complemented
 unsigned type that holds n_s-1 (1 byte up to n_s = 256, 2 up to 65,536,
 else 4; _slot_width), and viewed as one np.void of w slots. Equal bags have
 equal keys, and ascending byte order of keys is ascending lexicographic
-order of the count vectors, so keys sort and unique without being decoded,
-and the db looks their bytes up in a dict. Keys are exact for every
+order of the count vectors, so keys sort, unique and are searched for in
+the db's sorted records without being decoded. Keys are exact for every
 n_s < 2**32 and every w. _keys_of is the one place a key is coded, for
 windows and model rows alike, and Bags.counts the one place one is decoded.
 Count vectors appear only at the edges: the model file, written from
 BehaviorDb.chunks() and read back through Bags.from_counts, and the pure
 bag_of reference.
 
-Memory: the db's keys take entries x w x (1, 2 or 4) bytes, plus the dict's
-overhead per bag. An epoch's scan sorts its S - w + 1 windows as rows of
-2-byte slots (4 above n_s = 65,536) and peaks at about 3 bytes per window
-slot up to n_s = 256, 6 up to 65,536 and 12 above; Config bounds the window
-slots of an epoch by MAX_EPOCH_SLOTS.
+Memory: the db takes w x (1, 2 or 4) + 16 bytes a bag (its key, its
+position and its frequency), plus the slack of the arrays it grows in: 26
+to 29 bytes a bag at w=10 up to n_s = 256. An epoch's scan sorts its
+S - w + 1 windows as rows of 2-byte slots (4 above n_s = 65,536) and peaks
+at about 3 bytes per window slot up to n_s = 256, 6 up to 65,536 and 12
+above; Config bounds the window slots of an epoch by MAX_EPOCH_SLOTS.
 """
 
 import logging
 from array import array
 from dataclasses import dataclass
-from itertools import count, filterfalse, islice, repeat
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +40,11 @@ MAX_WINDOW = MAX_LINE // 4  # so a bag key, at most 4 bytes a call, is never lon
 # Window slots an epoch may hold, (S - w + 1) x w: an epoch's scan sorts them
 # as rows of uint16, which take 256 MiB at this bound.
 MAX_EPOCH_SLOTS = 1 << 27
+# BehaviorDb's side run merges into its main run once it holds more than this
+# share of it. A larger share rewrites the main run less often and the side run
+# at more length; shares from 1/4 to 1/16 trained 300 epochs of iid calls to
+# 1.49M bags in the same 1.8-1.9 s (2 cores, Python 3.11, numpy 2.4).
+SIDE_SHARE = 1 / 8
 
 
 @dataclass(frozen=True)
@@ -173,34 +178,92 @@ class FrozenDbError(RuntimeError):
     pass
 
 
+class DuplicateBagError(ValueError):
+    """A bag given twice to BehaviorDb.from_entries; position is the first
+    whose bag an earlier position holds."""
+
+    def __init__(self, position: int):
+        super().__init__(f"position {position}: duplicate bag")
+        self.position = position
+
+
+def _merged(run: np.ndarray, more: np.ndarray) -> np.ndarray:
+    """Sorted records run and more as one sorted run (more itself if run is
+    empty)."""
+    return np.insert(run, np.searchsorted(run, more), more) if len(run) else more
+
+
 class BehaviorDb:
     """Bag frequencies in first-insertion order, which is stable under later
     increments.
 
-    A dict maps each bag key's bytes to its insertion position, and the int64
-    frequencies are kept in that order, in an array that grows in place. An
-    epoch's bags come in key byte order, so that order sets where its new
-    bags are appended. n_s and w (the key size) come from the first insert.
-    Single-writer during training; freeze() makes every later write raise.
+    Each bag is one fixed-width byte record: its key, then its insertion
+    position as a big-endian u8, so byte order sorts records by key, then
+    by position. The records are held in two sorted runs, searched with
+    np.searchsorted: a main run, and a side run that takes each add's new
+    bags and merges into the main run once it holds more than SIDE_SHARE of
+    it: an add rewrites only the side run, and the main run is rewritten
+    once new bags reach that share of it. The int64 frequencies are kept by position, in an array
+    that grows in place. n_s and w (the key size) come from the first
+    insert. Single-writer during training; freeze() merges the runs and
+    makes every later write raise.
     """
 
     def __init__(self):
         self._n_s: int | None = None
-        self._dtype: np.dtype | None = None
-        self._pos: dict[bytes, int] = {}
+        self._dtype: np.dtype | None = None  # the keys'
+        self._fields: np.dtype | None = None  # a record's key "k" and position "p"
+        self._main = self._side = np.zeros(0, dtype=np.uint8)
         self._freq = array("q")
         self._frozen = False
 
     def __len__(self) -> int:
-        return len(self._pos)
+        return len(self._freq)
+
+    def _fit(self, bags: Bags, multiplicities) -> np.ndarray:
+        """multiplicities as an array, once the db takes bags' n_s and w (the
+        first bags set them) and there is one of at least 1 per bag."""
+        mult = np.asarray(multiplicities)
+        if mult.shape != (len(bags),) or (mult < 1).any():
+            raise ValueError(f"{len(bags)} bags need as many multiplicities, each at least 1")
+        if self._n_s is None:
+            self._n_s, self._dtype = bags.n_s, bags.keys.dtype
+            k = self._dtype.itemsize
+            self._fields = np.dtype({"names": ["k", "p"], "formats": [self._dtype, ">i8"], "offsets": [0, k]})
+            self._main = self._side = np.zeros(0, dtype=(np.void, k + 8))
+        elif (bags.n_s, bags.keys.dtype) != (self._n_s, self._dtype):
+            raise ValueError(f"bags over n_s={bags.n_s}, w={bags.w} do not fit a db of "
+                             f"n_s={self._n_s}, w={self._dtype.itemsize // _slot_width(self._n_s)}")
+        return mult
+
+    def _records(self, keys: np.ndarray, positions) -> np.ndarray:
+        r = np.empty(len(keys), self._fields)
+        r["k"], r["p"] = keys, positions
+        return r.view(self._main.dtype)
+
+    def _find(self, keys: np.ndarray) -> np.ndarray:
+        """Each key's insertion position, or -1 where the db lacks it."""
+        pos = np.full(len(keys), -1, dtype=np.int64)
+        if not len(self):
+            return pos
+        probe = self._records(keys, 0)  # sorts at or before every record of its key
+        for run in (self._main, self._side):
+            if len(run):
+                hit = run.take(np.searchsorted(run, probe), mode="clip").view(self._fields)
+                found = hit["k"] == keys
+                pos[found] = hit["p"][found]
+        return pos
 
     def chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(count matrix, frequencies) of up to CHUNK bags at a time, in
         insertion order."""
-        keys = iter(self._pos)
+        recs = _merged(self._side, self._main).view(self._fields)  # the main run itself once frozen
+        order = np.empty(len(self), dtype=np.intp)  # the record at each position
         for lo in range(0, len(self), CHUNK):
-            chunk = np.frombuffer(b"".join(islice(keys, CHUNK)), self._dtype)
-            yield Bags(chunk, self._n_s).counts(), np.frombuffer(self._freq[lo : lo + CHUNK], np.int64)
+            order[recs["p"][lo : lo + CHUNK]] = np.arange(lo, min(lo + CHUNK, len(self)))
+        for lo in range(0, len(self), CHUNK):
+            keys = recs["k"][order[lo : lo + CHUNK]]
+            yield Bags(keys, self._n_s).counts(), np.frombuffer(self._freq[lo : lo + CHUNK], np.int64)
 
     def items(self) -> Iterator[tuple[BoSC, int]]:
         """(count tuple, frequency) pairs in insertion order."""
@@ -211,7 +274,7 @@ class BehaviorDb:
         """Each bag's insertion position, or -1 where the db lacks it."""
         if (bags.n_s, bags.keys.dtype) != (self._n_s, self._dtype):
             return np.full(len(bags), -1, dtype=np.int64)
-        return np.fromiter(map(self._pos.get, bags.keys.tolist(), repeat(-1)), np.int64, len(bags))
+        return self._find(bags.keys)
 
     def add(self, bags: Bags, multiplicities) -> np.ndarray:
         """Add each bag's multiplicity to its frequency and return each bag's
@@ -224,19 +287,18 @@ class BehaviorDb:
         """
         if self._frozen:
             raise FrozenDbError("behavior db is frozen")
-        mult = np.asarray(multiplicities)
-        if mult.shape != (len(bags),) or (mult < 1).any():
-            raise ValueError(f"{len(bags)} bags need as many multiplicities, each at least 1")
-        if self._n_s is None:
-            self._n_s, self._dtype = bags.n_s, bags.keys.dtype
-        elif (bags.n_s, bags.keys.dtype) != (self._n_s, self._dtype):
-            raise ValueError(f"bags over n_s={bags.n_s}, w={bags.w} do not fit a db of "
-                             f"n_s={self._n_s}, w={self._dtype.itemsize // _slot_width(self._n_s)}")
-        keys = bags.keys.tolist()
-        new = dict.fromkeys(filterfalse(self._pos.__contains__, keys))
-        self._freq.frombytes(bytes(8 * len(new)))  # their zero frequencies
-        self._pos.update(zip(new, count(len(self))))
-        pos = np.fromiter(map(self._pos.__getitem__, keys), np.int64, len(keys))
+        mult = self._fit(bags, multiplicities)
+        pos = self._find(bags.keys)
+        new = pos < 0
+        if new.any():
+            keys, first, which = np.unique(bags.keys[new], return_index=True, return_inverse=True)
+            at = np.empty(len(keys), dtype=np.int64)  # positions, in order of first appearance
+            at[np.argsort(first)] = np.arange(len(self), len(self) + len(keys))
+            pos[new] = at[which]
+            self._freq.frombytes(bytes(8 * len(keys)))  # their zero frequencies
+            self._side = _merged(self._side, self._records(keys, at))
+            if len(self._side) > SIDE_SHARE * len(self._main):
+                self._merge_side()
         np.add.at(np.frombuffer(self._freq, np.int64), pos, mult)
         return pos
 
@@ -248,5 +310,34 @@ class BehaviorDb:
         np.add.at(deltas, pos, np.asarray(multiplicities))
         return deltas
 
+    @classmethod
+    def from_entries(cls, entries: Iterable[tuple[Bags, np.ndarray]]) -> "BehaviorDb":
+        """A frozen db of the (bags, frequencies) chunks of entries, each bag
+        at the next position, as a model file lists them. The records go into
+        one buffer, sorted once in place, so memory beyond the db is one
+        chunk. Raises DuplicateBagError if a bag comes twice."""
+        db, buf = cls(), bytearray()
+        for bags, freqs in entries:
+            freqs = db._fit(bags, freqs)
+            buf += db._records(bags.keys, np.arange(len(db), len(db) + len(bags))).data
+            db._freq.frombytes(freqs.astype(np.int64).tobytes())
+        if buf:
+            db._main = np.frombuffer(buf, db._main.dtype)
+            db._main.sort()
+            recs, first = db._main.view(db._fields), len(db)
+            for lo in range(1, len(db), CHUNK):  # a repeat sorts right after an earlier position of its bag
+                b = recs[lo : lo + CHUNK]
+                repeats = b["p"][b["k"] == recs["k"][lo - 1 : lo - 1 + len(b)]]
+                first = min([first, *repeats.tolist()])
+            if first < len(db):
+                raise DuplicateBagError(first)
+        db._frozen = True
+        return db
+
+    def _merge_side(self) -> None:
+        if len(self._side):
+            self._main, self._side = _merged(self._main, self._side), np.zeros(0, self._side.dtype)
+
     def freeze(self) -> None:
+        self._merge_side()
         self._frozen = True

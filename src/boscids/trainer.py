@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bosc import CHUNK, Bags, BehaviorDb, Config, unique_window_bags
+from .bosc import CHUNK, Bags, BehaviorDb, Config, DuplicateBagError, unique_window_bags
 from .catalog import OTHER_NAME, SyscallIndex, build_index
 from .trace_ingest import MAX_LINE, SYSCALL_NAME_RE, CountTable, RawTrace, count_table, epochs_of, quoted
 
@@ -62,13 +62,34 @@ def cosine_similarity(a, b) -> float:
         raise ValueError("earlier change vector is longer than the later one")
     if vb.shape[0] < va.shape[0]:
         vb = np.concatenate([vb, np.zeros(va.shape[0] - vb.shape[0])])
-    na = math.sqrt(float(va @ va))
-    nb = math.sqrt(float(vb @ vb))
+    return _cosine(float(va @ vb), float(va @ va), float(vb @ vb))
+
+
+def change_cosine(a, b) -> float:
+    """cosine_similarity of two epochs' change vectors, each given as the
+    (positions, multiplicities) of its bags that BehaviorDb.add took, with
+    distinct positions: a dot product over the positions both share.
+
+    The sums are int64 and exact. They are at most (S - w + 1)**2, so they
+    convert to float64 exactly, and this equals the dense float64
+    cosine_similarity bit for bit, while S - w + 1 <= 9.49e7, the square
+    root of 2**53. MAX_EPOCH_SLOTS admits S up to 2**27 at w=1; above the
+    bound only the int64 sums stay exact.
+    """
+    (pa, ma), (pb, mb) = a, b
+    _, ia, ib = np.intersect1d(pa, pb, assume_unique=True, return_indices=True)
+    return _cosine(float(ma[ia] @ mb[ib]), float(ma @ ma), float(mb @ mb))
+
+
+def _cosine(dot: float, aa: float, bb: float) -> float:
+    """The cosine of two vectors a and b from a @ b, a @ a and b @ b."""
+    na = math.sqrt(aa)
+    nb = math.sqrt(bb)
     if na == 0.0 and nb == 0.0:
         return 1.0
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return float(va @ vb) / (na * nb)
+    return dot / (na * nb)
 
 
 def train(trace, counts: CountTable | None = None, config: Config | None = None) -> TrainedModel:
@@ -76,9 +97,12 @@ def train(trace, counts: CountTable | None = None, config: Config | None = None)
     names, or the epoch-sized RawTrace chunks of one stream (see epochs_of),
     which need counts.
 
-    Epochs are pulled one at a time. After each epoch k>1 the change vector
-    is compared to the previous one; training stops once the similarity stays
-    at or above the threshold for two consecutive epochs, and pulls no more.
+    Epochs are pulled one at a time. Each epoch's change is kept sparse, as
+    the db positions of its bags and their multiplicities, so an epoch costs
+    time in its own bags, not in the db. After each epoch k>1 the change is
+    compared to the previous one by change_cosine; training stops once the
+    similarity stays at or above the threshold for two consecutive epochs,
+    and pulls no more.
     Exhausting the trace without that happening returns a model flagged as
     non-converged rather than failing: the operator can inspect the history
     and re-run with more data.
@@ -96,7 +120,7 @@ def train(trace, counts: CountTable | None = None, config: Config | None = None)
     index = build_index(counts)
     S = config.epoch_size
     model = TrainedModel(index, BehaviorDb(), config, [])
-    change_prev: np.ndarray | None = None
+    change_prev: tuple[np.ndarray, np.ndarray] | None = None
     n_calls = 0
     for epoch in epochs_of(trace, S):
         n_calls += len(epoch.calls)
@@ -104,9 +128,9 @@ def train(trace, counts: CountTable | None = None, config: Config | None = None)
             continue
         slots = index.resolve_stream(epoch)
         bags, mult = unique_window_bags(slots, config.window_size, index.n_s)
-        change = model.db.insert_many(bags, mult)
+        change = model.db.add(bags, mult), mult
         if change_prev is not None:
-            model.history.append(cosine_similarity(change, change_prev))
+            model.history.append(change_cosine(change, change_prev))
             if model.converged:
                 break
         change_prev = change
@@ -403,22 +427,21 @@ def _parse_model(rd: _LineReader) -> TrainedModel:
     tail_at = len(rd.got) + n_entries + 1  # the tail's first line number
     rd.check(_head_lines(index, config, n_entries), 1)
     n_s = index.n_s
-    db = BehaviorDb()
-    dup = -1  # the first entry whose bag an earlier entry holds
-    # Bounded memory: one chunk of entry lines at a time, and a forged
-    # entries= count fails at the first chunk the file cannot fill. A
-    # repeated bag is named once every entry has parsed.
-    for lo in range(0, n_entries, CHUNK):
-        want = min(CHUNK, n_entries - lo)
-        counts, freqs = _parse_entries(rd.take(want), n_s, config.window_size, lo)
-        if len(freqs) < want:
-            raise ModelFormatError("entries", "file truncated")
-        pos = db.add(Bags.from_counts(counts), freqs)
-        if dup < 0 and len(db) < lo + want:  # the first repeat is the first entry not at its own position
-            dup = lo + int(np.argmax(pos != np.arange(lo, lo + want)))
-    if dup >= 0:
-        raise ModelFormatError("entries", f"entry {dup}: duplicate bag")
-    db.freeze()
+
+    def entries():
+        # Bounded memory: one chunk of entry lines at a time, and a forged
+        # entries= count fails at the first chunk the file cannot fill.
+        for lo in range(0, n_entries, CHUNK):
+            want = min(CHUNK, n_entries - lo)
+            counts, freqs = _parse_entries(rd.take(want), n_s, config.window_size, lo)
+            if len(freqs) < want:
+                raise ModelFormatError("entries", "file truncated")
+            yield Bags.from_counts(counts), freqs
+
+    try:  # a repeated bag is named once every entry has parsed
+        db = BehaviorDb.from_entries(entries())
+    except DuplicateBagError as e:
+        raise ModelFormatError("entries", f"entry {e.position}: duplicate bag") from None
 
     n_history = int(rd.fields("history", "history header", f"history={_SIZE}")[1])
     history = [float(rd.fields("history", "history record", rf"\S+ {_FLOAT}")[1]) for _ in range(n_history)]

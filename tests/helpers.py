@@ -30,6 +30,39 @@ def insert_counts(db, bags, multiplicities=None):
     return db.insert_many(Bags.from_counts(bags), mult)
 
 
+class DictDb:
+    """The behaviour db as a dict from count tuples to insertion positions,
+    with the frequencies in a list by position: bags new to it take the next
+    positions in the order they first appear."""
+
+    def __init__(self):
+        self.pos = {}
+        self.freq = []
+
+    def add(self, bags, multiplicities):
+        """Add each count tuple's multiplicity; return each one's position."""
+        out = []
+        for bag, m in zip(bags, multiplicities):
+            p = self.pos.setdefault(bag, len(self.pos))
+            if p == len(self.freq):
+                self.freq.append(0)
+            self.freq[p] += m
+            out.append(p)
+        return out
+
+    def positions(self, bags):
+        return [self.pos.get(bag, -1) for bag in bags]
+
+    def items(self):
+        return list(zip(self.pos, self.freq))
+
+    def chunks(self, size):
+        """(int64 count matrix, int64 frequencies) of size bags at a time."""
+        bags = list(self.pos)
+        return [(np.array(bags[lo : lo + size], dtype=np.int64), np.array(self.freq[lo : lo + size], dtype=np.int64))
+                for lo in range(0, len(bags), size)]
+
+
 def counter_table_entries(names):
     """Count-table entries of a name sequence, by Counter: count descending,
     then name ascending."""

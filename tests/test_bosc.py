@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import tracemalloc
 from collections import Counter
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boscids.bosc import (
+    CHUNK,
     Bags,
     BehaviorDb,
     Config,
@@ -22,6 +24,8 @@ from boscids.bosc import (
 )
 from boscids.trace_ingest import RawTrace, epochs_of, read_trace_chunks
 from helpers import (
+    DictDb,
+    brute_force_bag,
     brute_force_db,
     brute_force_epoch_bags,
     epoch_bag_matrix,
@@ -261,6 +265,50 @@ def test_db_total_frequency_equals_windows_processed():
         insert_counts(db, windows)
         total_windows += len(windows)
     assert sum(freq for _, freq in db.items()) == total_windows
+
+
+@st.composite
+def db_adds(draw):
+    """(probe, adds): count-tuple bags over one n_s and w, and adds of them as
+    (bags, multiplicities), whose bags may repeat and come in any order, as
+    the loader's do; some adds hold only bags already added."""
+    n_s, w = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    windows = draw(st.lists(st.lists(st.integers(0, n_s - 1), min_size=w, max_size=w), min_size=1, max_size=40))
+    probe = [brute_force_bag(window, n_s) for window in windows]
+    adds, added = [], []
+    for _ in range(draw(st.integers(1, 24))):
+        bags = draw(st.lists(st.sampled_from(added if added and draw(st.booleans()) else probe),
+                             min_size=1, max_size=10))
+        adds.append((bags, draw(st.lists(st.integers(1, 9), min_size=len(bags), max_size=len(bags)))))
+        added += [bag for bag in bags if bag not in added]
+    return probe, adds
+
+
+def _many_adds():
+    """All 330 bags of w=4 over n_s=8, a few at a time after a first 100: the
+    side run crosses SIDE_SHARE of the main run many times, and the db
+    outgrows one CHUNK."""
+    bags = [brute_force_bag(c, 8) for c in itertools.combinations_with_replacement(range(8), 4)]
+    random.Random(0).shuffle(bags)
+    adds = [bags[:100] + bags[:10], *(bags[k : k + 7] + bags[k - 3 : k] for k in range(100, len(bags), 7)), bags[5::-1]]
+    return bags, [(add, [i % 3 + 1] * len(add)) for i, add in enumerate(adds)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(db_adds())
+@example(_many_adds())
+def test_db_equals_the_dict_oracle_after_every_add(case):
+    probe, adds = case
+    db, oracle = BehaviorDb(), DictDb()
+    for bags, mult in adds:
+        assert db.add(Bags.from_counts(bags), mult).tolist() == oracle.add(bags, mult)
+        assert db.positions(Bags.from_counts(probe)).tolist() == oracle.positions(probe)
+        assert list(db.items()) == oracle.items()
+        assert [(r.tobytes(), f.tobytes()) for r, f in db.chunks()] == \
+            [(r.tobytes(), f.tobytes()) for r, f in oracle.chunks(CHUNK)]
+    db.freeze()
+    assert db.positions(Bags.from_counts(probe)).tolist() == oracle.positions(probe)
+    assert list(db.items()) == oracle.items()
 
 
 def test_db_size_monotone_across_epochs():

@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import gc
+import itertools
 import logging
 import math
 import os
@@ -23,6 +24,7 @@ from boscids.trace_ingest import BLOCK, MAX_LINE, RawTrace, count_table
 from boscids.trainer import (
     ModelFormatError,
     TrainedModel,
+    change_cosine,
     cosine_similarity,
     load_model,
     save_model,
@@ -88,6 +90,34 @@ def test_cosine_scale_invariance():
         b = np.array([rng.randint(0, 20) for _ in range(n)], dtype=np.float64)
         alpha = rng.uniform(0.1, 50.0)
         assert abs(cosine_similarity(alpha * a, b) - cosine_similarity(a, b)) < 1e-9
+
+
+_BAGS_3_OF_4 = [brute_force_bag(c, 4) for c in itertools.combinations_with_replacement(range(4), 3)]  # 20 bags
+
+
+@st.composite
+def epoch_changes(draw):
+    """Epochs as (distinct bags, multiplicities), as unique_window_bags gives
+    them, drawn from 20 bags of w=3 over n_s=4."""
+    epochs = draw(st.lists(st.lists(st.sampled_from(_BAGS_3_OF_4), min_size=1, max_size=12, unique=True),
+                           min_size=2, max_size=8))
+    return [(bags, draw(st.lists(st.integers(1, 10**6), min_size=len(bags), max_size=len(bags))))
+            for bags in epochs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(epoch_changes())
+@example([(_BAGS_3_OF_4[:5], [3, 1, 4, 1, 5]), (_BAGS_3_OF_4[3:1:-1], [9, 2])])  # no new bag
+@example([(_BAGS_3_OF_4[:4], [1, 2, 3, 4]), (_BAGS_3_OF_4[4:9], [5, 6, 7, 8, 9])])  # disjoint bags
+def test_sparse_cosine_equals_the_dense_one_exactly(epochs):
+    dense_db, sparse_db = BehaviorDb(), BehaviorDb()
+    prev = None
+    for bags, mult in epochs:
+        dense = dense_db.insert_many(Bags.from_counts(bags), mult)
+        sparse = sparse_db.add(Bags.from_counts(bags), mult), np.array(mult, dtype=np.int64)
+        if prev is not None:
+            assert change_cosine(sparse, prev[1]) == cosine_similarity(dense, prev[0])
+        prev = dense, sparse
 
 
 def ab_trace(epochs=4):
@@ -597,6 +627,13 @@ def test_load_rejects_duplicate_entry(tmp_path):
            f"\n{entry_line(rows[3], freqs[1500])}\n".encode("ascii"))
     with pytest.raises(ModelFormatError, match="^entries: entry 1500: duplicate bag$"):
         load_model(p)
+    # Entries 1,200 and 1,500 repeat entry 3, and entry 1,300 entry 40: the
+    # error names the first entry that repeats an earlier one.
+    save_model(model_of(n_s, w, rows, freqs), p)
+    reseal_entries(p, {1200: entry_line(rows[3], freqs[1200]), 1300: entry_line(rows[40], freqs[1300]),
+                       1500: entry_line(rows[3], freqs[1500])})
+    with pytest.raises(ModelFormatError, match="^entries: entry 1200: duplicate bag$"):
+        load_model(p)
 
 
 def test_load_rejects_inflated_entry_count(tmp_path):
@@ -704,11 +741,12 @@ def random_model(n, n_s=40, w=10):
 
 def test_load_model_memory_is_flat_in_model_size(tmp_path):
     # Beyond the model it returns, load_model holds one block of the file and
-    # one chunk of entries: about 2k and 20k entries peak within 64 KiB of
-    # each other above what the model retains, where the whole text of the
-    # larger file alone is 1.8 MB.
-    excess = {}
-    for n in (2_000, 20_000):
+    # one chunk of entries: about 2k, 20k and 100k entries peak within 64 KiB
+    # of each other above what the model retains, where the whole text of the
+    # 20k file alone is 1.8 MB. The model retains a record of 18 bytes and a
+    # frequency of 8 an entry, plus the slack of the buffers they grow in.
+    excess, retained = {}, {}
+    for n in (2_000, 20_000, 100_000):
         p = tmp_path / f"{n}.model"
         save_model(random_model(n), p)
         gc.collect()
@@ -719,8 +757,10 @@ def test_load_model_memory_is_flat_in_model_size(tmp_path):
         finally:
             tracemalloc.stop()
         assert len(model.db) > 0.9 * n
-        excess[n] = peak - current
+        excess[n], retained[n] = peak - current, current / len(model.db)
     assert abs(excess[20_000] - excess[2_000]) < 64 * 1024, excess
+    assert abs(excess[100_000] - excess[2_000]) < 64 * 1024, excess
+    assert retained[20_000] <= 40, retained
 
 
 @functools.cache
