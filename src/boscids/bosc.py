@@ -36,7 +36,10 @@ log = logging.getLogger(__name__)
 BoSC = tuple[int, ...]
 
 CHUNK = 256  # bags converted between keys and count rows (and model lines) at a time
-MAX_WINDOW = MAX_LINE // 4  # so a bag key, at most 4 bytes a call, is never longer than the longest model line
+# A bag key, at most 4 bytes a slot, is then at most MAX_LINE bytes, so a chunk
+# of CHUNK model rows codes to at most 256 MiB of keys; a model file's larger w
+# fails as params before any entry is coded.
+MAX_WINDOW = MAX_LINE // 4
 # Window slots an epoch may hold, (S - w + 1) x w: an epoch's scan sorts them
 # as rows of uint16, which take 256 MiB at this bound.
 MAX_EPOCH_SLOTS = 1 << 27
@@ -100,6 +103,16 @@ def bag_of(window: Sequence[int], n_s: int) -> BoSC:
     return tuple(counts)
 
 
+def _integers(values, name: str) -> np.ndarray:
+    """values as an array of integers: an empty sequence passes, and float,
+    bool, object or other non-integer values raise ValueError naming name,
+    rather than being truncated."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got {arr.dtype} values")
+    return arr
+
+
 def _slot_width(n_s: int) -> int:
     """Bytes of a key's slot: the narrowest unsigned type that holds n_s - 1."""
     return 1 if n_s <= 1 << 8 else 2 if n_s <= 1 << 16 else 4
@@ -135,7 +148,7 @@ class Bags:
     @classmethod
     def from_counts(cls, rows) -> "Bags":
         """Keys of an (m, n_s) count matrix whose rows all sum to one w >= 1."""
-        rows = np.asarray(rows)
+        rows = _integers(rows, "rows")
         if not np.can_cast(rows.dtype, np.intp):  # what repeat takes, such as the loader's uint8, is kept
             rows = rows.astype(np.int64)
         if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] == 0:
@@ -157,10 +170,12 @@ class Bags:
 
 
 def unique_window_bags(slots, w: int, n_s: int) -> tuple[Bags, np.ndarray]:
-    """Distinct window bags of one epoch, ascending, plus multiplicities."""
+    """Distinct window bags of one epoch's slots, ascending, plus
+    multiplicities. This is the one place a slot stream becomes int64;
+    non-integer slots raise ValueError."""
     if w < 1:
         raise ValueError("window size must be a positive integer")
-    arr = np.asarray(slots, dtype=np.int64)
+    arr = _integers(slots, "slots").astype(np.int64, copy=False)
     if arr.shape[0] < w:
         empty = np.zeros(0, dtype=np.dtype((np.void, _slot_width(n_s) * w)))
         return Bags(empty, n_s), np.zeros(0, dtype=np.int64)
@@ -221,9 +236,10 @@ class BehaviorDb:
         return len(self._freq)
 
     def _fit(self, bags: Bags, multiplicities) -> np.ndarray:
-        """multiplicities as an array, once the db takes bags' n_s and w (the
-        first bags set them) and there is one of at least 1 per bag."""
-        mult = np.asarray(multiplicities)
+        """multiplicities as an int64 array, once the db takes bags' n_s and w
+        (the first bags set them) and there is one of at least 1 per bag; one
+        beyond int64 wraps below 1."""
+        mult = _integers(multiplicities, "multiplicities").astype(np.int64, copy=False)
         if mult.shape != (len(bags),) or (mult < 1).any():
             raise ValueError(f"{len(bags)} bags need as many multiplicities, each at least 1")
         if self._n_s is None:
@@ -320,7 +336,7 @@ class BehaviorDb:
         for bags, freqs in entries:
             freqs = db._fit(bags, freqs)
             buf += db._records(bags.keys, np.arange(len(db), len(db) + len(bags))).data
-            db._freq.frombytes(freqs.astype(np.int64).tobytes())
+            db._freq.frombytes(freqs.tobytes())
         if buf:
             db._main = np.frombuffer(buf, db._main.dtype)
             db._main.sort()

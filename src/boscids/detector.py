@@ -1,16 +1,19 @@
 """Scan traces against a frozen model and flag epochs with too many unknown
 bags."""
 
+from __future__ import annotations
+
 import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bosc import unique_window_bags
 from .trace_ingest import epochs_of, quoted, read_lines, to_int
-from .trainer import TrainedModel
+
+if TYPE_CHECKING:  # for annotations only: eval reads reports without the trainer
+    from .trainer import TrainedModel
 
 log = logging.getLogger(__name__)
 
@@ -60,9 +63,8 @@ def scan_epoch(model: TrainedModel, epoch) -> EpochVerdict:
     model.
     """
     w = model.config.window_size
-    slots = np.asarray(epoch, dtype=np.int64)
-    n = int(slots.shape[0])
-    bags, mult = unique_window_bags(slots, w, model.index.n_s)
+    n = len(epoch)
+    bags, mult = unique_window_bags(epoch, w, model.index.n_s)
     mismatches = int(mult[model.db.positions(bags) < 0].sum())
     return EpochVerdict(max(n - w + 1, 0), mismatches, model.config.detect_threshold_fraction * n)
 

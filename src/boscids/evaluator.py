@@ -1,12 +1,16 @@
 """True/false positive rates from detection reports plus ground-truth labels,
 at epoch or window granularity."""
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .detector import DetectionReport
 from .trace_ingest import quoted, read_lines
+
+if TYPE_CHECKING:  # for annotations only: gen writes labels without the detector
+    from .detector import DetectionReport
 
 LABEL_NORMAL = "normal"
 LABEL_MALICIOUS = "malicious"

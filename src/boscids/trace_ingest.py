@@ -40,8 +40,9 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, count, islice
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 SYSCALL_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -112,16 +113,6 @@ class RawTrace:
         step = _chunk_limit(size)
         for lo in range(0, len(self.calls), step):
             yield RawTrace(self.names, self.calls[lo : lo + step])
-
-    def file_chunks(self) -> Iterator[bytes]:
-        """The trace file's content, a chunk of calls at a time: one name
-        per call, LF-terminated."""
-        lines = [f"{n}\n".encode("ascii") for n in self.names]
-        # bytes.join holds an 80-byte buffer per item: 1,024 calls at the
-        # default BLOCK keep that near 80 KiB.
-        step = max(1, BLOCK // 16)
-        for start in range(0, len(self.calls), step):
-            yield b"".join(map(lines.__getitem__, self.calls[start : start + step]))
 
 
 def _chunk_limit(size: int | None) -> int:
@@ -319,10 +310,8 @@ def ingest_file_to(path, trace_out) -> tuple[str, CountTable]:
     counts: Counter = Counter()
     with Path(trace_out).open("wb") as fh:
         for names in _capture_names(p, tally):
-            if names:
-                counts.update(names)
-                fh.write("\n".join(names).encode("ascii"))
-                fh.write(b"\n")
+            counts.update(names)
+            _write_names(fh, names)
     return _source_meta(p.name, tally), CountTable.from_counts(counts)
 
 
@@ -339,10 +328,22 @@ def count_table(trace) -> CountTable:
     return CountTable.from_counts({n: c for n, c in counts.items() if c})
 
 
+def _write_names(fh, names: Sequence[str]) -> None:
+    """Write names to trace file fh, one per line, LF-terminated: the one
+    writer of trace file text."""
+    if names:
+        fh.write("\n".join(names).encode("ascii"))
+        fh.write(b"\n")
+
+
 def write_trace_file(trace: RawTrace, path) -> None:
     """One syscall name per line, LF-terminated."""
     with Path(path).open("wb") as fh:
-        fh.writelines(trace.file_chunks())
+        # itemgetter looks a chunk's names up in one call, faster than a map
+        # over its codes; it gives a tuple, or the name itself for one call.
+        for chunk in trace.split(1 << 12):
+            names = itemgetter(*chunk.calls)(trace.names)
+            _write_names(fh, names if len(chunk.calls) > 1 else [names])
 
 
 def write_count_file(table: CountTable, path) -> None:

@@ -302,28 +302,6 @@ _SIZE = "([0-9]{1,19})"  # digits int() converts; the line check rejects other s
 _FLOAT = r"(-?[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)"  # float() converts each match
 
 
-def _entry_error(line: str, n_s: int, w: int) -> str:
-    """Why an entry line is rejected: the first check it fails."""
-    if ":" not in line:
-        return "missing ':' separator"
-    m = re.fullmatch(r"((?:-?[0-9]+ )+): (-?[0-9]+)", line)
-    if m is None:
-        return f"unparseable {quoted(line, 120)}"
-    try:
-        counts, freq = [int(t) for t in m.group(1).split()], int(m.group(2))
-    except ValueError:  # more digits than int() converts
-        return "a number has too many digits"
-    if freq > _INT64_MAX:
-        return f"unparseable {quoted(line, 120)}"
-    if len(counts) != n_s:
-        return f"{len(counts)} counts, expected {n_s}"
-    if freq < 1 or min(counts) < 0:
-        return "negative value"
-    if sum(counts) != w:
-        return f"counts sum to {sum(counts)}, expected w={w}"
-    return f"unparseable {quoted(line, 120)}"  # leading zeros, "-0" and the like
-
-
 def _digits(buf: np.ndarray, ends: np.ndarray, lens: np.ndarray, width: int, dtype) -> np.ndarray:
     """The decimal values of the tokens of buf that end before ends and are
     lens long, at most width, in dtype: one pass a digit place. An empty
@@ -372,7 +350,7 @@ def _entry_values(block: bytes, n_s: int, w: int) -> tuple[np.ndarray, np.ndarra
 def _parse_entries(block: bytes, n_s: int, w: int, first: int) -> tuple[np.ndarray, np.ndarray]:
     """The (m, ns) counts and m frequencies of a block of m LF-terminated entry
     lines. Only the text _entry_text writes is accepted; an error names the
-    first bad entry, numbered from first, and the first check it fails."""
+    first bad entry, numbered from first, quotes it and states the rule."""
     if not block:
         return np.zeros((0, n_s), dtype=np.min_scalar_type(w)), np.zeros(0, dtype=np.int64)
     rows = _entry_values(block, n_s, w)
@@ -381,7 +359,8 @@ def _parse_entries(block: bytes, n_s: int, w: int, first: int) -> tuple[np.ndarr
     # A block is accepted exactly when each of its lines is, so one line fails.
     lines = block.split(b"\n")[:-1]
     i = next(i for i, line in enumerate(lines) if _entry_values(line + b"\n", n_s, w) is None)
-    raise ModelFormatError("entries", f"entry {first + i}: {_entry_error(lines[i].decode('latin-1'), n_s, w)}")
+    raise ModelFormatError("entries", f"entry {first + i}: {quoted(lines[i].decode('latin-1'), 120)} is not {n_s} "
+                                      f"counts summing to {w}, ' : ' and a frequency from 1 to {_INT64_MAX}")
 
 
 def load_model(path) -> TrainedModel:

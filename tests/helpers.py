@@ -3,10 +3,9 @@
 Everything here recounts from scratch, with plain Python loops or with
 count-matrix rows; none of it shares code with the bag-key, coded-trace or
 block-ingest paths under test. The exceptions are insert_counts, a fixture
-builder, first_uniforms and trace_digest, which the generator's
-known-answer pins are checked through, and the entry and model-file
-oracles' messages, which quote a line through trace_ingest.quoted as the
-loader does.
+builder, first_uniforms, which the generator's known-answer pin is checked
+through, and the entry and model-file oracles' messages, which quote a line
+through trace_ingest.quoted as the loader does.
 """
 
 import hashlib
@@ -75,8 +74,8 @@ def first_uniforms(seed, count=4):
 
 
 def trace_digest(trace):
-    """sha256 of a coded trace's file bytes."""
-    return hashlib.sha256(b"".join(trace.file_chunks())).hexdigest()
+    """sha256 of a coded trace's file bytes: one name per call, LF-terminated."""
+    return hashlib.sha256("".join(f"{trace.names[c]}\n" for c in trace.calls).encode("ascii")).hexdigest()
 
 
 def call_names(trace):
@@ -208,24 +207,22 @@ _ENTRY_SHAPE = re.compile(r"-?[0-9]+( -?[0-9]+)* : -?[0-9]+")
 
 def parse_entry_line(line, n_s, w):
     """(bag, freq) of one entry line, parsed token by token, or ValueError with
-    the loader's reason. Only entry_line's own text is accepted."""
+    the loader's message. Only entry_line's own text is accepted."""
+    bad = ValueError(f"{quoted(line, 120)} is not {n_s} counts summing to {w}, "
+                     f"' : ' and a frequency from 1 to {2**63 - 1}")
     counts_part, sep, freq_part = line.rpartition(":")
-    if not sep:
-        raise ValueError("missing ':' separator")
-    if not _ENTRY_SHAPE.fullmatch(line):
-        raise ValueError(f"unparseable {quoted(line, 120)}")
-    bag = tuple(map(int, counts_part.split()))
-    freq = int(freq_part)
+    if not sep or not _ENTRY_SHAPE.fullmatch(line):
+        raise bad
+    try:
+        bag, freq = tuple(map(int, counts_part.split())), int(freq_part)
+    except ValueError:  # more digits than int() converts
+        raise bad from None
     if freq > 2**63 - 1:  # the frequency is an int64
-        raise ValueError(f"unparseable {quoted(line, 120)}")
-    if len(bag) != n_s:
-        raise ValueError(f"{len(bag)} counts, expected {n_s}")
-    if freq < 1 or min(bag) < 0:
-        raise ValueError("negative value")
-    if sum(bag) != w:
-        raise ValueError(f"counts sum to {sum(bag)}, expected w={w}")
+        raise bad
+    if len(bag) != n_s or freq < 1 or min(bag) < 0 or sum(bag) != w:
+        raise bad
     if entry_line(bag, freq) != line:
-        raise ValueError(f"unparseable {quoted(line, 120)}")
+        raise bad
     return bag, freq
 
 

@@ -242,8 +242,9 @@ def test_db_rejects_bags_of_another_shape():
     assert dict(db.items()) == {(1, 1, 0): 1}
 
 
-@pytest.mark.parametrize("rows, mult", [([(1, 0), (0, 1)], [1, 2, 3]), ([(1, 0)], [-5]), ([(1, 0)], [0])],
-                         ids=["too-many", "negative", "zero"])
+@pytest.mark.parametrize("rows, mult", [([(1, 0), (0, 1)], [1, 2, 3]), ([(1, 0)], [-5]), ([(1, 0)], [0]),
+                                        ([(1, 0)], np.array([2**64 - 1], dtype=np.uint64))],
+                         ids=["too-many", "negative", "zero", "beyond-int64"])
 def test_db_rejects_bad_multiplicities_and_stays_unchanged(rows, mult):
     empty, filled = BehaviorDb(), BehaviorDb()
     insert_counts(filled, [(0, 1)], [2])
@@ -482,3 +483,29 @@ def test_incremental_db_equals_brute_force_recount():
 def test_bad_bags_and_windows_are_refused(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: unique_window_bags([0.5, 1.7, 1.2], 2, 3), "slots"),
+    (lambda: unique_window_bags([False, True, True], 2, 3), "slots"),
+    (lambda: unique_window_bags(np.array([0, 1, 2], dtype=object), 2, 3), "slots"),
+    (lambda: Bags.from_counts([[1.5, 0.5]]), "rows"),
+    (lambda: Bags.from_counts([[True, False]]), "rows"),
+    (lambda: Bags.from_counts([["1", "0"]]), "rows"),
+    (lambda: insert_counts(BehaviorDb(), [(1, 0)], [1.5]), "multiplicities"),
+    (lambda: insert_counts(BehaviorDb(), [(1, 0)], [True]), "multiplicities"),
+], ids=["float-slots", "bool-slots", "object-slots", "float-rows", "bool-rows", "str-rows",
+        "float-multiplicity", "bool-multiplicity"])
+def test_non_integer_values_are_refused_not_truncated(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must be integers, got "):
+        build()
+
+
+def test_empty_slots_and_a_refused_add_leave_things_as_they_were():
+    bags, mult = unique_window_bags([], 2, 3)
+    assert (len(bags), mult.tolist()) == (0, [])
+    db = BehaviorDb()
+    insert_counts(db, [(1, 0)], [2])
+    with pytest.raises(ValueError, match="^multiplicities must be integers"):
+        db.add(Bags.from_counts([(1, 0), (0, 1)]), [1.5, 2.0])
+    assert list(db.items()) == [((1, 0), 2)]

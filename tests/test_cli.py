@@ -586,6 +586,24 @@ def test_ingest_runs_without_numpy(tmp_path):
     assert count_out.read_bytes() == (FIXTURES / "mixed.expected.counts").read_bytes()
 
 
+@pytest.mark.parametrize("command, loaded", [
+    ("gen", ["boscids.cli", "boscids.evaluator", "boscids.synth", "boscids.trace_ingest"]),
+    ("eval", ["boscids.bosc", "boscids.cli", "boscids.detector", "boscids.evaluator", "boscids.trace_ingest"]),
+])
+def test_gen_and_eval_load_only_the_modules_they_run(tmp_path, command, loaded):
+    # The evaluator names DetectionReport, and the detector TrainedModel, in
+    # annotations only: gen loads no detector, eval no trainer or catalog.
+    report, labels = tmp_path / "r.report", tmp_path / "r.labels"
+    report.write_text("0 7 0 0.5 0\ntotal epochs=1 windows=7 mismatches=0 anomalous_epochs=0 trace_anomalous=0\n")
+    labels.write_text("0\tnormal\n")
+    argv = {"gen": ["gen", "--calls", "8", "--epoch-size", "8", "--out", str(tmp_path / "g.trace"),
+                    "--labels", str(tmp_path / "g.labels")],
+            "eval": ["eval", "--report", str(report), "--labels", str(labels)]}[command]
+    probe = (f"import sys; from boscids import cli; code = cli.main({argv!r}); "
+             "print(code, sorted(m for m in sys.modules if m.startswith('boscids.')))")
+    assert _probe(probe).endswith(f"\n0 {loaded}\n")
+
+
 def test_reading_a_trace_leaves_numpy_unloaded(tmp_path):
     # count_table imports numpy when called; reading a trace needs none.
     path = tmp_path / "t.trace"

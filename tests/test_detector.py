@@ -75,6 +75,15 @@ def test_scan_epoch_shorter_than_window():
     assert not verdict.anomalous
 
 
+def test_scan_epoch_refuses_non_integer_slots():
+    # Truncated to 0 1 0 1 they would scan as known bags.
+    model = tiny_model([(1, 1, 0)])
+    with pytest.raises(ValueError, match="^slots must be integers, got float64 values$"):
+        scan_epoch(model, [0.9, 1.9, 0.2, 1.1])
+    assert scan_epoch(model, np.array([0, 1, 0, 1], dtype=np.int32)).mismatches == 0
+    assert scan_epoch(model, []).windows_scanned == 0
+
+
 def test_scan_matches_brute_force():
     rng = random.Random(22)
     for _ in range(20):

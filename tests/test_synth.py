@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import tracemalloc
 from dataclasses import replace
@@ -16,7 +17,7 @@ from boscids.synth import (
     gen_normal,
     make_source,
 )
-from boscids.trace_ingest import count_table
+from boscids.trace_ingest import count_table, write_trace_file
 from helpers import call_names, counter_table_entries, first_uniforms, trace_digest
 
 logging.getLogger("boscids").setLevel(logging.ERROR)
@@ -44,10 +45,12 @@ def test_single_name_alphabet_repeats():
     assert call_names(trace) == ["read"] * 20
 
 
-def test_pinned_fixture_checksum():
+def test_pinned_fixture_checksum(tmp_path):
     spec = make_source(n_names=64, zipf_s=1.2, seed=42)
     trace = gen_normal(spec, 100_000)
     assert trace_digest(trace) == SEED42_100K_DIGEST
+    write_trace_file(trace, tmp_path / "t.trace")  # the file gen writes
+    assert hashlib.sha256((tmp_path / "t.trace").read_bytes()).hexdigest() == SEED42_100K_DIGEST
 
 
 def test_different_seeds_differ():

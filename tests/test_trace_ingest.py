@@ -184,6 +184,15 @@ def test_trace_file_round_trip(tmp_path):
     assert call_names(ti.read_trace_file(path)) == call_names(trace)
 
 
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8193])
+def test_trace_file_is_one_name_a_call_across_write_blocks(tmp_path, n):
+    # Blocks of 4,096 calls; 4097 and 8193 end in a block of one call.
+    names = [("read", "write", "openat")[i % 3] for i in range(n)]
+    path = tmp_path / "t.trace"
+    ti.write_trace_file(ti.RawTrace.from_names(names), path)
+    assert path.read_bytes() == "".join(f"{name}\n" for name in names).encode("ascii")
+
+
 def test_count_file_round_trip(tmp_path):
     table = ti.count_table(["read", "write", "read"])
     path = tmp_path / "t.counts"

@@ -329,44 +329,45 @@ def reseal(path, old: bytes, new: bytes):
     path.write_bytes(body + f"crc32={zlib.crc32(body) & 0xFFFFFFFF:08x}\n".encode("ascii"))
 
 
-# The fixture's one entry is "1 1 0 : 9" (w=2, ns=3).
+# The fixture's one entry is "1 1 0 : 9" (w=2, ns=3). Each case gives the
+# entry named and the line quoted.
 @pytest.mark.parametrize(
-    "old, new, message",
+    "old, new, entry, shown",
     [
-        (b"\n1 1 0 : 9\n", b"\n1 1 0 9\n", "entry 0: missing ':' separator"),
-        (b"\n1 1 0 : 9\n", b"\n1 x 0 : 9\n", "entry 0: unparseable '1 x 0 : 9'"),
-        (b"\n1 1 0 : 9\n", b"\n1 1 0 0 : 9\n", "entry 0: 4 counts, expected 3"),
-        (b"\n1 1 0 : 9\n", b"\n2 1 -1 : 9\n", "entry 0: negative value"),
-        (b"\n1 1 0 : 9\n", b"\n1 1 0 : 0\n", "entry 0: negative value"),
-        (b"\n1 1 0 : 9\n", b"\n5 0 0 : 9\n", "entry 0: counts sum to 5, expected w=2"),
-        (b"\n1 1 0 : 9\n", b"\n1 1 0 : 9223372036854775808\n",
-         "entry 0: unparseable '1 1 0 : 9223372036854775808'"),
+        (b"\n1 1 0 : 9\n", b"\n1 1 0 9\n", 0, "'1 1 0 9'"),
+        (b"\n1 1 0 : 9\n", b"\n1 x 0 : 9\n", 0, "'1 x 0 : 9'"),
+        (b"\n1 1 0 : 9\n", b"\n1 1 0 0 : 9\n", 0, "'1 1 0 0 : 9'"),
+        (b"\n1 1 0 : 9\n", b"\n2 1 -1 : 9\n", 0, "'2 1 -1 : 9'"),
+        (b"\n1 1 0 : 9\n", b"\n1 1 0 : 0\n", 0, "'1 1 0 : 0'"),
+        (b"\n1 1 0 : 9\n", b"\n5 0 0 : 9\n", 0, "'5 0 0 : 9'"),
+        (b"\n1 1 0 : 9\n", b"\n1 1 0 : 9223372036854775808\n", 0, "'1 1 0 : 9223372036854775808'"),
         # Sums that wrap around in 64 bits, to w itself in the first.
-        (b"\n1 1 0 : 9\n", b"\n9223372036854775553 9223372036854775553 512 : 9\n",
-         "entry 0: counts sum to 18446744073709551618, expected w=2"),
-        (b"\n1 1 0 : 9\n", b"\n18446744073709551617 1 0 : 9\n",
-         "entry 0: counts sum to 18446744073709551618, expected w=2"),
-        (b"entries=1\n1 1 0 : 9\n", b"entries=2\n1 1 0 : 9\n0 2 0 : 0\n", "entry 1: negative value"),
+        (b"\n1 1 0 : 9\n", b"\n9223372036854775553 9223372036854775553 512 : 9\n", 0,
+         "'9223372036854775553 9223372036854775553 512 : 9'"),
+        (b"\n1 1 0 : 9\n", b"\n18446744073709551617 1 0 : 9\n", 0, "'18446744073709551617 1 0 : 9'"),
+        (b"entries=1\n1 1 0 : 9\n", b"entries=2\n1 1 0 : 9\n0 2 0 : 0\n", 1, "'0 2 0 : 0'"),
         # Accepted before entries had to be the text save_model writes.
-        (b"\n1 1 0 : 9\n", b"\n01 1 0 : 9\n", "entry 0: unparseable '01 1 0 : 9'"),
-        (b"\n1 1 0 : 9\n", b"\n+1 1 0 : 9\n", "entry 0: unparseable '+1 1 0 : 9'"),
-        (b"\n1 1 0 : 9\n", b"\n1 1 0 : 1_0\n", "entry 0: unparseable '1 1 0 : 1_0'"),
-        (b"\n1 1 0 : 9\n", b"\n1  1 0 : 9\n", "entry 0: unparseable '1  1 0 : 9'"),
-        (b"\n1 1 0 : 9\n", b"\n1 1 0 : " + b"9" * 5000 + b"\n", "entry 0: a number has too many digits"),
+        (b"\n1 1 0 : 9\n", b"\n01 1 0 : 9\n", 0, "'01 1 0 : 9'"),
+        (b"\n1 1 0 : 9\n", b"\n+1 1 0 : 9\n", 0, "'+1 1 0 : 9'"),
+        (b"\n1 1 0 : 9\n", b"\n1 1 0 : 1_0\n", 0, "'1 1 0 : 1_0'"),
+        (b"\n1 1 0 : 9\n", b"\n1  1 0 : 9\n", 0, "'1  1 0 : 9'"),
+        (b"\n1 1 0 : 9\n", b"\n1 1 0 : " + b"9" * 5000 + b"\n", 0,
+         "'1 1 0 : " + "9" * 112 + "'... (5008 characters)"),
     ],
     ids=["missing-colon", "unparseable", "count", "negative", "freq-0", "sum", "freq-beyond-int64",
          "sum-wraps-to-w", "count-beyond-uint64",
          "second-entry", "leading-zero", "plus-sign", "underscore", "double-space",
          "freq-5000-digits"],
 )
-def test_load_rejects_bad_entry(tmp_path, old, new, message):
+def test_load_rejects_bad_entry(tmp_path, old, new, entry, shown):
     p = tmp_path / "m.model"
     save_model(model_fixture(), p)
     reseal(p, old, new)
     with pytest.raises(ModelFormatError) as exc:
         load_model(p)
     assert exc.value.section == "entries"
-    assert str(exc.value) == f"entries: {message}"
+    assert str(exc.value) == (f"entries: entry {entry}: {shown} is not 3 counts summing to 2, "
+                              "' : ' and a frequency from 1 to 9223372036854775807")
 
 
 # Each was accepted before a loaded model had to save back to the same bytes.
@@ -609,7 +610,7 @@ def test_load_numbers_entries_across_chunks(tmp_path):
     j = CHUNK + 3
     line = entry_line(rows[j], freqs[j])
     reseal(p, f"\n{line}\n".encode("ascii"), f"\n0{line}\n".encode("ascii"))  # a leading zero
-    with pytest.raises(ModelFormatError, match=f"^entries: entry {j}: unparseable "):
+    with pytest.raises(ModelFormatError, match=f"^entries: entry {j}: '0{line}' is not {n_s} counts summing to {w},"):
         load_model(p)
 
 
